@@ -1,14 +1,11 @@
 #ifndef DUALSIM_BENCH_BENCH_COMMON_H_
 #define DUALSIM_BENCH_BENCH_COMMON_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <filesystem>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 #include <unistd.h>
@@ -19,12 +16,8 @@
 #include "graph/datasets.h"
 #include "graph/graph.h"
 #include "obs/metrics.h"
-#include "storage/buffer_pool.h"
 #include "storage/disk_graph.h"
-#include "storage/io_backend.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace dualsim {
 namespace bench {
@@ -147,14 +140,6 @@ inline void WriteMetricsSidecar(const std::string& default_path) {
   }
 }
 
-/// The I/O backends a benchmark sweeps as a reported axis: the portable
-/// thread pool always, plus io_uring when this build + kernel provides it.
-inline std::vector<std::string> BenchIoBackends() {
-  std::vector<std::string> out = {"threadpool"};
-  if (UringAvailable()) out.push_back("uring");
-  return out;
-}
-
 /// Accumulates flat benchmark rows and writes them on destruction as
 /// BENCH_<name>.json — a JSON array of objects — so CI can persist the
 /// numbers as artifacts next to the human-readable table output. The
@@ -229,44 +214,6 @@ class BenchJsonWriter {
   std::string name_;
   std::deque<Row> rows_;
 };
-
-/// Cold sequential sweep of every page in `disk` through a fresh
-/// BufferPool on the named backend, window-granular (PinMany batches of
-/// `window` pages), with `frames` buffer frames — the physical-read
-/// throughput of the backend at a fixed frame budget, free of enumeration
-/// CPU. Returns pages per second.
-inline double ColdReadThroughput(DiskGraph* disk,
-                                 const std::string& backend_name,
-                                 std::size_t frames, std::size_t window,
-                                 ThreadPool* io_pool) {
-  auto kind = ParseIoBackendKind(backend_name);
-  DS_CHECK(kind.ok()) << kind.status().ToString();
-  auto backend = CreateIoBackend(*kind, &disk->file(), io_pool);
-  DS_CHECK(backend.ok()) << backend.status().ToString();
-  BufferPool pool(&disk->file(), frames, backend->get());
-
-  const PageId num_pages = disk->num_pages();
-  std::vector<PageId> batch;
-  WallTimer timer;
-  for (PageId next = 0; next < num_pages;) {
-    batch.clear();
-    while (next < num_pages && batch.size() < window) batch.push_back(next++);
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t done = 0;
-    pool.PinMany(batch, [&](std::size_t, Status s, const std::byte*) {
-      DS_CHECK(s.ok()) << s.ToString();
-      std::lock_guard<std::mutex> lock(mu);
-      if (++done == batch.size()) cv.notify_one();
-    });
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done == batch.size(); });
-    lock.unlock();
-    for (PageId pid : batch) pool.Unpin(pid);
-  }
-  const double seconds = timer.ElapsedSeconds();
-  return seconds > 0 ? num_pages / seconds : 0.0;
-}
 
 inline void PrintRule(int width = 78) {
   for (int i = 0; i < width; ++i) std::putchar('-');

@@ -2,9 +2,7 @@
 /// LJ, hot buffer (whole graph cached) so only CPU parallelism is
 /// measured. Paper: ~5.5x at 6 threads for both queries.
 ///
-/// Extended with the I/O backend as a reported axis (the hot-buffer curve
-/// should be backend-invariant — reads happen once during warm-up); rows
-/// land in BENCH_fig16_threads.json for CI artifact upload.
+/// Rows land in BENCH_fig16_threads.json for CI artifact upload.
 
 #include <cstdio>
 #include <thread>
@@ -27,38 +25,33 @@ int main() {
   auto disk = BuildDb(g, dir, "lj.db");
 
   BenchJsonWriter json("fig16_threads");
-  for (const std::string& backend : BenchIoBackends()) {
-    std::printf("[io backend: %s]\n", backend.c_str());
-    for (PaperQuery pq : {PaperQuery::kQ1, PaperQuery::kQ4}) {
-      // Hot run: buffer covers the whole database so reads hit memory.
-      double single = -1;
-      std::printf("%s:", PaperQueryName(pq));
-      for (int threads : {1, 2, 3, 4, 5, 6}) {
-        EngineOptions options = PaperDefaults();
-        options.buffer_fraction = 1.0;
-        options.num_threads = threads;
-        options.io_backend = backend;
-        DualSimEngine engine(disk.get(), options);
-        // Warm the buffer with one run, then measure the best of three.
-        (void)engine.Run(MakePaperQuery(pq));
-        double best = 1e100;
-        for (int rep = 0; rep < 3; ++rep) {
-          auto result = engine.Run(MakePaperQuery(pq));
-          if (result.ok()) best = std::min(best, result->elapsed_seconds);
-        }
-        if (threads == 1) single = best;
-        std::printf("  t%d=%s(%.2fx)", threads, FormatSeconds(best).c_str(),
-                    single > 0 ? single / best : 0.0);
-        json.AddRow()
-            .Str("bench", "fig16_threads")
-            .Str("backend", backend)
-            .Str("query", PaperQueryName(pq))
-            .Int("threads", threads)
-            .Num("seconds", best)
-            .Num("speedup", single > 0 ? single / best : 0.0);
+  for (PaperQuery pq : {PaperQuery::kQ1, PaperQuery::kQ4}) {
+    // Hot run: buffer covers the whole database so reads hit memory.
+    double single = -1;
+    std::printf("%s:", PaperQueryName(pq));
+    for (int threads : {1, 2, 3, 4, 5, 6}) {
+      EngineOptions options = PaperDefaults();
+      options.buffer_fraction = 1.0;
+      options.num_threads = threads;
+      DualSimEngine engine(disk.get(), options);
+      // Warm the buffer with one run, then measure the best of three.
+      (void)engine.Run(MakePaperQuery(pq));
+      double best = 1e100;
+      for (int rep = 0; rep < 3; ++rep) {
+        auto result = engine.Run(MakePaperQuery(pq));
+        if (result.ok()) best = std::min(best, result->elapsed_seconds);
       }
-      std::printf("\n");
+      if (threads == 1) single = best;
+      std::printf("  t%d=%s(%.2fx)", threads, FormatSeconds(best).c_str(),
+                  single > 0 ? single / best : 0.0);
+      json.AddRow()
+          .Str("bench", "fig16_threads")
+          .Str("query", PaperQueryName(pq))
+          .Int("threads", threads)
+          .Num("seconds", best)
+          .Num("speedup", single > 0 ? single / best : 0.0);
     }
+    std::printf("\n");
   }
   PrintRule();
   std::printf(

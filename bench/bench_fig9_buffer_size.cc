@@ -2,11 +2,7 @@
 /// 25% of the graph size down to 5%, for q1 and q4 on LJ and OK. Paper:
 /// nearly flat for q1; about 2.2-2.6x degradation for q4 at 5%.
 ///
-/// Extended with the I/O backend as a reported axis: the whole sweep runs
-/// once per compiled-in backend (threadpool, and uring when the kernel
-/// supports it), and a cold physical-read throughput comparison at an
-/// equal frame budget closes the table. Rows land in
-/// BENCH_fig9_buffer_size.json for CI artifact upload.
+/// Rows land in BENCH_fig9_buffer_size.json for CI artifact upload.
 
 #include <cstdio>
 #include <vector>
@@ -24,77 +20,46 @@ int main() {
   ScopedDbDir dir;
   BenchJsonWriter json("fig9_buffer_size");
   const std::vector<int> buffers = {5, 10, 15, 20, 25};
-  for (const std::string& backend : BenchIoBackends()) {
-    std::printf("[io backend: %s]\n", backend.c_str());
-    for (DatasetKey key : {DatasetKey::kLiveJournal, DatasetKey::kOrkut}) {
-      Graph g = MakeDataset(key, BenchScale());
-      auto disk = BuildDb(g, dir, std::string(DatasetCode(key)) + "_" +
-                                      backend + ".db");
-      for (PaperQuery pq : {PaperQuery::kQ1, PaperQuery::kQ4}) {
-        // Baseline: 25% buffer.
-        std::vector<double> seconds;
-        std::vector<std::uint64_t> reads;
-        for (int buf : buffers) {
-          EngineOptions options = PaperDefaults();
-          options.buffer_fraction = buf / 100.0;
-          options.io_backend = backend;
-          DualSimEngine engine(disk.get(), options);
-          auto result = engine.Run(MakePaperQuery(pq));
-          if (!result.ok()) {
-            std::printf("%s %s buf=%d%% FAILED: %s\n", DatasetCode(key),
-                        PaperQueryName(pq), buf,
-                        result.status().ToString().c_str());
-            seconds.push_back(-1);
-            reads.push_back(0);
-            continue;
-          }
-          seconds.push_back(result->elapsed_seconds);
-          reads.push_back(result->io.physical_reads);
+  for (DatasetKey key : {DatasetKey::kLiveJournal, DatasetKey::kOrkut}) {
+    Graph g = MakeDataset(key, BenchScale());
+    auto disk = BuildDb(g, dir, std::string(DatasetCode(key)) + ".db");
+    for (PaperQuery pq : {PaperQuery::kQ1, PaperQuery::kQ4}) {
+      // Baseline: 25% buffer.
+      std::vector<double> seconds;
+      std::vector<std::uint64_t> reads;
+      for (int buf : buffers) {
+        EngineOptions options = PaperDefaults();
+        options.buffer_fraction = buf / 100.0;
+        DualSimEngine engine(disk.get(), options);
+        auto result = engine.Run(MakePaperQuery(pq));
+        if (!result.ok()) {
+          std::printf("%s %s buf=%d%% FAILED: %s\n", DatasetCode(key),
+                      PaperQueryName(pq), buf,
+                      result.status().ToString().c_str());
+          seconds.push_back(-1);
+          reads.push_back(0);
+          continue;
         }
-        const double base = seconds.back();
-        std::printf("%s %s:", DatasetCode(key), PaperQueryName(pq));
-        for (std::size_t i = 0; i < buffers.size(); ++i) {
-          std::printf("  %d%%=%.2fx(%s,%llur)", buffers[i],
-                      base > 0 ? seconds[i] / base : 0.0,
-                      FormatSeconds(seconds[i]).c_str(),
-                      static_cast<unsigned long long>(reads[i]));
-          json.AddRow()
-              .Str("bench", "fig9_buffer_size")
-              .Str("backend", backend)
-              .Str("dataset", DatasetCode(key))
-              .Str("query", PaperQueryName(pq))
-              .Int("buffer_pct", buffers[i])
-              .Num("seconds", seconds[i])
-              .Num("relative", base > 0 ? seconds[i] / base : 0.0)
-              .Int("physical_reads", reads[i]);
-        }
-        std::printf("\n");
+        seconds.push_back(result->elapsed_seconds);
+        reads.push_back(result->io.physical_reads);
       }
-    }
-  }
-
-  // Cold physical-read throughput per backend at an equal frame budget —
-  // the axis where batched io_uring submission should meet or beat the
-  // thread pool (one enter() per window vs one syscall per page).
-  PrintRule();
-  std::printf("cold read throughput (LJ, 25%% frames, window=64):\n");
-  {
-    Graph g = MakeDataset(DatasetKey::kLiveJournal, BenchScale());
-    auto disk = BuildDb(g, dir, "lj_coldread.db");
-    const std::size_t frames =
-        std::max<std::size_t>(64, disk->num_pages() / 4);
-    ThreadPool io_pool(4);
-    for (const std::string& backend : BenchIoBackends()) {
-      const double pages_per_sec =
-          ColdReadThroughput(disk.get(), backend, frames, 64, &io_pool);
-      std::printf("  %-10s %.0f pages/s\n", backend.c_str(), pages_per_sec);
-      json.AddRow()
-          .Str("bench", "fig9_cold_read_throughput")
-          .Str("backend", backend)
-          .Str("dataset", "lj")
-          .Int("frames", frames)
-          .Int("pages", disk->num_pages())
-          .Num("pages_per_sec", pages_per_sec);
+      const double base = seconds.back();
+      std::printf("%s %s:", DatasetCode(key), PaperQueryName(pq));
+      for (std::size_t i = 0; i < buffers.size(); ++i) {
+        std::printf("  %d%%=%.2fx(%s,%llur)", buffers[i],
+                    base > 0 ? seconds[i] / base : 0.0,
+                    FormatSeconds(seconds[i]).c_str(),
+                    static_cast<unsigned long long>(reads[i]));
+        json.AddRow()
+            .Str("bench", "fig9_buffer_size")
+            .Str("dataset", DatasetCode(key))
+            .Str("query", PaperQueryName(pq))
+            .Int("buffer_pct", buffers[i])
+            .Num("seconds", seconds[i])
+            .Num("relative", base > 0 ? seconds[i] / base : 0.0)
+            .Int("physical_reads", reads[i]);
+      }
+      std::printf("\n");
     }
   }
 

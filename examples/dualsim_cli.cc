@@ -25,14 +25,6 @@
 ///       Enumerate the query; print up to max_print embeddings (default 0:
 ///       count only). When a metrics path is given (or DUALSIM_METRICS_OUT
 ///       is set) the process-wide MetricsSnapshot is written there as JSON.
-///       Accepts --io-backend=<auto|threadpool|uring> and
-///       --io-queue-depth=<n> anywhere after "query".
-///
-///   dualsim_cli io-backends [--check <name>]
-///       List the compiled-in I/O backends and their availability. With
-///       --check, exit 0 when <name> is usable on this kernel and 6
-///       (kIoBackendExitCode) when it is not — run_all.sh uses this to
-///       fail fast on an unavailable --io-backend.
 ///
 ///   dualsim_cli intersect-kernels [--check <name>]
 ///       List the intersection kernels and their availability on this
@@ -64,7 +56,6 @@
 #include "runtime/plan_cache.h"
 #include "service/query_service.h"
 #include "storage/disk_graph.h"
-#include "storage/io_backend.h"
 #include "storage/preprocess.h"
 #include "util/timer.h"
 
@@ -249,20 +240,13 @@ int CmdExplain(int argc, char** argv) {
   return 0;
 }
 
-/// Pulls --io-backend= / --io-queue-depth= / --intersect-kernel= out of
-/// argv (compacting the rest in place) so the positional arguments keep
-/// their indices.
-int ExtractIoFlags(int argc, char** argv, EngineOptions* options,
-                   std::string* intersect_kernel) {
+/// Pulls --intersect-kernel= out of argv (compacting the rest in place) so
+/// the positional arguments keep their indices.
+int ExtractKernelFlag(int argc, char** argv, std::string* intersect_kernel) {
   int out = 0;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--io-backend=", 0) == 0) {
-      options->io_backend = arg.substr(std::string("--io-backend=").size());
-    } else if (arg.rfind("--io-queue-depth=", 0) == 0) {
-      options->io_queue_depth = static_cast<std::size_t>(
-          std::atoll(arg.c_str() + std::string("--io-queue-depth=").size()));
-    } else if (arg.rfind("--intersect-kernel=", 0) == 0) {
+    if (arg.rfind("--intersect-kernel=", 0) == 0) {
       *intersect_kernel =
           arg.substr(std::string("--intersect-kernel=").size());
     } else {
@@ -270,29 +254,6 @@ int ExtractIoFlags(int argc, char** argv, EngineOptions* options,
     }
   }
   return out;
-}
-
-int CmdIoBackends(int argc, char** argv) {
-  const std::string check =
-      (argc > 3 && std::string(argv[2]) == "--check") ? argv[3] : "";
-  const bool uring = UringAvailable();
-  if (check.empty()) {
-    std::printf("threadpool  available (portable default)\n");
-    std::printf("uring       %s\n",
-                uring ? "available" : UringUnavailableReason().c_str());
-    std::printf("auto        -> %s\n",
-                IoBackendKindName(ResolveIoBackendKind(IoBackendKind::kAuto)));
-    return 0;
-  }
-  auto kind = ParseIoBackendKind(check);
-  if (!kind.ok()) return Fail(kind.status());
-  if (*kind == IoBackendKind::kUring && !uring) {
-    std::fprintf(stderr, "io backend 'uring' unavailable: %s\n",
-                 UringUnavailableReason().c_str());
-    return service::kIoBackendExitCode;
-  }
-  std::printf("%s\n", IoBackendKindName(ResolveIoBackendKind(*kind)));
-  return 0;
 }
 
 int CmdIntersectKernels(int argc, char** argv) {
@@ -330,12 +291,11 @@ int CmdIntersectKernels(int argc, char** argv) {
 int CmdQuery(int argc, char** argv) {
   EngineOptions options;
   std::string intersect_kernel;
-  argc = ExtractIoFlags(argc, argv, &options, &intersect_kernel);
+  argc = ExtractKernelFlag(argc, argv, &intersect_kernel);
   if (argc < 4) {
     std::fprintf(stderr,
                  "usage: query <db_path> <query> [buffer_fraction] "
-                 "[max_print] [metrics.json] [--io-backend=<name>] "
-                 "[--io-queue-depth=<n>] [--intersect-kernel=<name>]\n");
+                 "[max_print] [metrics.json] [--intersect-kernel=<name>]\n");
     return 2;
   }
   if (!intersect_kernel.empty()) {
@@ -375,7 +335,6 @@ int CmdQuery(int argc, char** argv) {
 
   std::printf("embeddings:    %llu\n",
               static_cast<unsigned long long>(result->embeddings));
-  std::printf("io backend:    %s\n", result->io_backend.c_str());
   std::printf("intersect:     %s\n",
               IntersectKernelName(ConfiguredIntersectKernel()));
   std::printf("elapsed:       %.3fs (prepare %.3fms)\n",
@@ -415,10 +374,9 @@ int main(int argc, char** argv) {
   if (command == "verify") return CmdVerify(argc, argv);
   if (command == "explain") return CmdExplain(argc, argv);
   if (command == "query") return CmdQuery(argc, argv);
-  if (command == "io-backends") return CmdIoBackends(argc, argv);
   if (command == "intersect-kernels") return CmdIntersectKernels(argc, argv);
   std::fprintf(stderr,
                "usage: dualsim_cli <build|stats|verify|explain|query|"
-               "io-backends|intersect-kernels> ...\n");
+               "intersect-kernels> ...\n");
   return 2;
 }

@@ -2,7 +2,6 @@
 ///
 ///   dualsim_serve <db_path> [--port N] [--workers N] [--queue-depth N]
 ///                 [--buffer-fraction F] [--metrics metrics.json]
-///                 [--io-backend auto|threadpool|uring] [--io-queue-depth N]
 ///                 [--port-file path] [--drain-timeout-ms N]
 ///
 /// Binds 127.0.0.1:<port> (an ephemeral port when 0 or omitted; the bound
@@ -27,8 +26,7 @@
 /// sub-queries and merging the streams with owner-side deduplication.
 ///
 /// Exit codes: 0 clean shutdown, 1 runtime failure, 2 usage,
-/// 3 missing/unreadable graph database, 6 requested --io-backend
-/// unavailable on this build/kernel.
+/// 3 missing/unreadable graph database.
 
 #include <chrono>
 #include <cstdio>
@@ -52,7 +50,6 @@ int Usage() {
       stderr,
       "usage: dualsim_serve <db_path> [--port N] [--workers N] "
       "[--queue-depth N] [--buffer-fraction F] [--metrics metrics.json] "
-      "[--io-backend auto|threadpool|uring] [--io-queue-depth N] "
       "[--port-file path] [--drain-timeout-ms N]\n"
       "       dualsim_serve <db_path> --coordinator --workers N "
       "[--partition-seed S] [--retries N] [--worker-binary path] "
@@ -177,10 +174,6 @@ int main(int argc, char** argv) {
       ropt.buffer_fraction = std::atof(value);
     } else if (flag == "--metrics") {
       sopt.metrics_path = value;
-    } else if (flag == "--io-backend") {
-      ropt.io_backend = value;
-    } else if (flag == "--io-queue-depth") {
-      ropt.io_queue_depth = static_cast<std::size_t>(std::atoi(value));
     } else if (flag == "--port-file") {
       port_file = value;
     } else if (flag == "--drain-timeout-ms") {
@@ -215,15 +208,6 @@ int main(int argc, char** argv) {
               (*disk)->num_pages());
 
   Runtime runtime(disk->get(), ropt);
-  if (!runtime.init_status().ok()) {
-    // An explicitly requested backend that this build/kernel cannot
-    // provide gets its own exit code so scripts can skip instead of fail.
-    std::fprintf(stderr, "error: %s\n",
-                 runtime.init_status().ToString().c_str());
-    return service::kIoBackendExitCode;
-  }
-  std::printf("io backend: %s (queue depth %zu)\n", runtime.io_backend_name(),
-              ropt.io_queue_depth);
   service::QueryService svc(&runtime, sopt);
   if (Status s = svc.Start(); !s.ok()) {
     std::fprintf(stderr, "error: %s\n", s.ToString().c_str());

@@ -4,33 +4,24 @@
 # reproduction script.
 #
 # Usage: scripts/run_all.sh [--skip-bench] [--sanitize]
-#                           [--io-backend=<auto|threadpool|uring>]
 #   --skip-bench  build + test only; skip the (slow) benchmark sweep.
 #   --sanitize    additionally run scripts/check_sanitizers.sh (ASan full
 #                 suite + TSan concurrency suites) before the benchmarks.
-#   --io-backend=<name>
-#                 run tests and benches under the named I/O backend
-#                 (exported as DUALSIM_IO_BACKEND). Probed up front via
-#                 `dualsim_cli io-backends --check`; an unavailable
-#                 backend exits 6 immediately instead of failing mid-run.
 #
-# Exit codes: 0 ok, 2 usage, 3 build failed, 4 tests failed, 5 bench failed,
-# 6 requested --io-backend unavailable on this build/kernel
+# Exit codes: 0 ok, 2 usage, 3 build failed, 4 tests failed, 5 bench failed
 # (sanitizer runs propagate check_sanitizers.sh's codes: 3 build, 4 tests).
+# 6 is retired (it was "requested I/O backend unavailable") and not reused.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SKIP_BENCH=0
 SANITIZE=0
-IO_BACKEND=""
 for arg in "$@"; do
   case "$arg" in
     --skip-bench) SKIP_BENCH=1 ;;
     --sanitize) SANITIZE=1 ;;
-    --io-backend=*) IO_BACKEND="${arg#--io-backend=}" ;;
     *)
-      echo "usage: $0 [--skip-bench] [--sanitize]" \
-           "[--io-backend=<auto|threadpool|uring>]" >&2
+      echo "usage: $0 [--skip-bench] [--sanitize]" >&2
       exit 2
       ;;
   esac
@@ -39,19 +30,6 @@ done
 if ! cmake -B build -G Ninja || ! cmake --build build; then
   echo "BUILD FAILED" >&2
   exit 3
-fi
-
-if [ -n "$IO_BACKEND" ]; then
-  # Fail fast (exit 6) when the requested backend cannot run here, before
-  # spending minutes on a test/bench sweep that would die the same way.
-  rc=0
-  build/examples/dualsim_cli io-backends --check "$IO_BACKEND" || rc=$?
-  if [ "$rc" -ne 0 ]; then
-    echo "IO BACKEND '$IO_BACKEND' UNAVAILABLE (exit $rc)" >&2
-    exit "$rc"
-  fi
-  export DUALSIM_IO_BACKEND="$IO_BACKEND"
-  echo "Running under DUALSIM_IO_BACKEND=$IO_BACKEND"
 fi
 
 if ! ctest --test-dir build --output-on-failure 2>&1 | tee test_output.txt; then

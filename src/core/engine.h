@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/engine_stats.h"
@@ -34,12 +33,6 @@ struct EngineOptions {
   int num_threads = 0;
   /// Threads servicing asynchronous page reads.
   int io_threads = 2;
-  /// Physical-read engine: "auto", "threadpool", "uring", or "" for the
-  /// process default (DUALSIM_IO_BACKEND env var, else threadpool). See
-  /// RuntimeOptions::io_backend.
-  std::string io_backend;
-  /// Submission-queue depth for async read backends.
-  std::size_t io_queue_depth = 64;
   /// Injected latency per physical read (device simulation; 0 = none).
   std::uint32_t read_latency_us = 0;
   /// Extra read attempts after a transient IOError before the failure is

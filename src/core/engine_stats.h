@@ -2,7 +2,6 @@
 #define DUALSIM_CORE_ENGINE_STATS_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "storage/buffer_pool.h"
@@ -24,8 +23,6 @@ struct EngineStats {
   std::uint64_t external_embeddings = 0;  // found by the external pass
   std::uint64_t red_assignments = 0;      // vertex-level red matches
   IoStats io;                             // buffer-pool counters (this run)
-  std::string io_backend;                 // physical-read engine that served
-                                          // this run ("threadpool", "uring")
   double elapsed_seconds = 0.0;           // execution step only
   double prepare_millis = 0.0;            // preparation step (Table 6);
                                           // ~0 on a plan-cache hit

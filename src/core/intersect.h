@@ -44,7 +44,7 @@ const char* IntersectKernelName(IntersectKernel kernel);
 /// True when the AVX2 kernel is compiled in (DUALSIM_WITH_AVX2), the
 /// running CPU reports AVX2, and DUALSIM_FAKE_NO_AVX2 is not set. The
 /// fake-off env var exists so CI can exercise the portable ladder on
-/// AVX2-capable runners (mirrors DUALSIM_FAKE_NO_URING).
+/// AVX2-capable runners.
 bool Avx2Available();
 
 /// Human-readable reason why Avx2Available() is false ("" when true).

@@ -60,7 +60,7 @@ struct MetricsSnapshot {
   std::map<std::string, std::int64_t> gauges;
   std::map<std::string, HistogramValue> histograms;
   /// Free-form string labels describing configuration rather than counts
-  /// (e.g. "io.backend" -> "uring"). Last write wins; not reset by
+  /// (e.g. "io.backend" -> "threadpool"). Last write wins; not reset by
   /// ResetAll since configuration survives a counter reset.
   std::map<std::string, std::string> labels;
 

@@ -27,8 +27,6 @@ StatusOr<EngineStats> DualSimEngine::Run(const QueryGraph& q,
     runtime_options.buffer_fraction = options_.buffer_fraction;
     runtime_options.num_threads = options_.num_threads;
     runtime_options.io_threads = options_.io_threads;
-    runtime_options.io_backend = options_.io_backend;
-    runtime_options.io_queue_depth = options_.io_queue_depth;
     runtime_options.read_latency_us = options_.read_latency_us;
     runtime_options.max_read_retries = options_.max_read_retries;
     runtime_options.retry_backoff_us = options_.retry_backoff_us;

@@ -185,7 +185,6 @@ StatusOr<EngineStats> QuerySession::Run(const QueryGraph& q,
                                stats.external_embeddings;
   stats.red_assignments = match.red_assignments();
   stats.io = ctx.pool->stats() - io_before;
-  stats.io_backend = ctx.pool->backend_name();
   stats.elapsed_seconds = timer.ElapsedSeconds();
   stats.prepare_millis = cache_hit ? lookup_millis : plan->prepare_millis;
   stats.num_frames = scheduler.frames_needed();

@@ -53,30 +53,8 @@ Status ValidateRuntimeOptions(const RuntimeOptions& options) {
         "RuntimeOptions::max_read_retries=" +
         std::to_string(options.max_read_retries) + " (need >= 0)");
   }
-  if (options.io_queue_depth < 1) {
-    return Status::InvalidArgument("RuntimeOptions::io_queue_depth=0 "
-                                   "(need >= 1)");
-  }
-  if (!options.io_backend.empty()) {
-    auto kind = ParseIoBackendKind(options.io_backend);
-    if (!kind.ok()) {
-      return Status::InvalidArgument("RuntimeOptions::io_backend: " +
-                                     kind.status().message());
-    }
-  }
   return Status::OK();
 }
-
-namespace {
-
-/// Backend kind for a runtime: the explicit option, else the process
-/// default (env var / threadpool).
-StatusOr<IoBackendKind> RuntimeBackendKind(const RuntimeOptions& options) {
-  if (options.io_backend.empty()) return DefaultIoBackendKind();
-  return ParseIoBackendKind(options.io_backend);
-}
-
-}  // namespace
 
 Runtime::Runtime(DiskGraph* disk, RuntimeOptions options)
     : disk_(disk),
@@ -90,23 +68,7 @@ Runtime::Runtime(DiskGraph* disk, RuntimeOptions options)
   io_pool_ = std::make_unique<ThreadPool>(
       static_cast<std::size_t>(std::max(1, options_.io_threads)));
 
-  IoBackendOptions io_options;
-  io_options.queue_depth = std::max<std::size_t>(1, options_.io_queue_depth);
-  auto kind = RuntimeBackendKind(options_);
-  auto backend =
-      kind.ok() ? CreateIoBackend(*kind, &disk_->file(), io_pool_.get(),
-                                  io_options)
-                : StatusOr<std::unique_ptr<IoBackend>>(kind.status());
-  if (backend.ok()) {
-    io_backend_ = std::move(*backend);
-  } else {
-    // Record the failure (an explicitly requested backend that is
-    // unavailable, or a bad DUALSIM_IO_BACKEND value) and clamp to the
-    // portable backend so destruction stays orderly; Admit() refuses work.
-    if (init_status_.ok()) init_status_ = backend.status();
-    io_backend_ =
-        CreateThreadPoolIoBackend(&disk_->file(), io_pool_.get(), io_options);
-  }
+  io_backend_ = std::make_unique<IoBackend>(&disk_->file(), io_pool_.get());
 
   base_frames_ = options_.num_frames;
   if (base_frames_ == 0) {
@@ -122,8 +84,8 @@ Runtime::Runtime(DiskGraph* disk, RuntimeOptions options)
 }
 
 Runtime::~Runtime() {
-  // The buffer pool drains its in-flight reads and unregisters its frame
-  // arena before the backend dies; the backend before the I/O pool.
+  // The buffer pool drains its in-flight reads before the backend dies;
+  // the backend before the I/O pool.
   buffer_pool_.reset();
   io_backend_.reset();
   io_pool_.reset();
@@ -169,7 +131,7 @@ void Runtime::FrameLease::Release() {
 void Runtime::GrowPoolLocked(std::size_t min_frames) {
   Metrics().pool_growths->Increment();
   retired_io_ += buffer_pool_->stats();
-  buffer_pool_.reset();  // drain (and unregister the arena) before replacing
+  buffer_pool_.reset();  // drain before replacing
   pool_frames_ = std::max(base_frames_, min_frames);
   buffer_pool_ = std::make_unique<BufferPool>(
       &disk_->file(), pool_frames_, io_backend_.get(),
@@ -242,7 +204,6 @@ RuntimeStats Runtime::stats() const {
     out.io += buffer_pool_->stats();
     out.sessions_completed = sessions_completed_;
     out.num_frames = pool_frames_;
-    out.io_backend = io_backend_->name();
   }
   out.plan_cache = plan_cache_.stats();
   return out;

@@ -6,8 +6,6 @@
 #include <memory>
 #include <mutex>
 
-#include <string>
-
 #include "runtime/plan_cache.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_graph.h"
@@ -34,15 +32,6 @@ struct RuntimeOptions {
   int num_threads = 0;
   /// Threads servicing asynchronous page reads.
   int io_threads = 2;
-  /// Physical-read engine: "auto", "threadpool", "uring", or "" for the
-  /// process default (DUALSIM_IO_BACKEND env var when set, else
-  /// threadpool). An explicitly requested backend that is unavailable on
-  /// this build/kernel fails Runtime construction (see init_status());
-  /// "auto" falls back to threadpool instead.
-  std::string io_backend;
-  /// Submission-queue depth for async read backends (uring SQ size; the
-  /// thread-pool backend records it but its depth is its thread count).
-  std::size_t io_queue_depth = 64;
   /// Injected latency per physical read (device simulation; 0 = none).
   std::uint32_t read_latency_us = 0;
   /// Extra read attempts after a transient IOError before the failure is
@@ -68,7 +57,6 @@ struct RuntimeStats {
   IoStats io;  // buffer-pool totals (survives pool growth)
   std::uint64_t sessions_completed = 0;
   std::size_t num_frames = 0;
-  std::string io_backend;  // name of the active I/O backend
   PlanCache::CacheStats plan_cache;
 };
 
@@ -105,11 +93,6 @@ class Runtime {
   ThreadPool& cpu_pool() { return *cpu_pool_; }
   ThreadPool& io_pool() { return *io_pool_; }
   PlanCache& plan_cache() { return plan_cache_; }
-
-  /// The physical-read engine behind the buffer pool, selected by
-  /// RuntimeOptions::io_backend at construction.
-  IoBackend* io_backend() { return io_backend_.get(); }
-  const char* io_backend_name() const { return io_backend_->name(); }
 
   /// Current pool size in frames (may grow between runs).
   std::size_t num_frames() const;
@@ -175,8 +158,8 @@ class Runtime {
   mutable std::mutex mutex_;
   std::condition_variable admission_cv_;
   // Destruction order (explicit in ~Runtime): the buffer pool drains its
-  // in-flight reads and unregisters its arena before the backend dies,
-  // and the backend drains before the I/O pool dies.
+  // in-flight reads before the backend dies, and the backend drains before
+  // the I/O pool dies.
   std::unique_ptr<BufferPool> buffer_pool_;
   std::size_t pool_frames_ = 0;
   std::size_t base_frames_ = 0;  // derived sizing floor for growth

@@ -49,16 +49,11 @@ namespace dualsim::service {
 /// 2 = usage error).
 inline constexpr int kGraphLoadExitCode = 3;
 
-/// Exit code for "the requested I/O backend is unavailable on this
-/// build/kernel" (dualsim_cli io-backends --check, run_all.sh
-/// --io-backend). Distinct from generic failures so scripts can skip
-/// instead of fail.
-inline constexpr int kIoBackendExitCode = 6;
-
 /// Exit code for "the requested intersection kernel is unavailable on
 /// this build/CPU" (dualsim_cli intersect-kernels [--check], the
-/// --intersect-kernel flag, DUALSIM_FORCE_INTERSECT_KERNEL). Same skip
-/// vs fail contract as kIoBackendExitCode, for the avx2-off CI lane.
+/// --intersect-kernel flag, DUALSIM_FORCE_INTERSECT_KERNEL). Distinct from
+/// generic failures so scripts can skip instead of fail, as the avx2-off
+/// CI lane does. (6 was the retired I/O-backend code; it is not reused.)
 inline constexpr int kIntersectKernelExitCode = 7;
 
 /// Exit code for "the graph database opened but failed verification"

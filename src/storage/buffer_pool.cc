@@ -40,8 +40,8 @@ PoolMetrics& Metrics() {
   return m;
 }
 
-/// Frame-arena alignment: covers O_DIRECT and io_uring fixed-buffer
-/// requirements for any 4 KiB-multiple page size.
+/// Frame-arena alignment: every 4 KiB-multiple frame starts on a page
+/// boundary.
 constexpr std::size_t kArenaAlign = 4096;
 
 }  // namespace
@@ -59,7 +59,7 @@ BufferPool::BufferPool(PageFile* file, std::size_t num_frames,
 BufferPool::BufferPool(PageFile* file, std::size_t num_frames,
                        ThreadPool* io_pool, BufferPoolOptions options)
     : file_(file),
-      owned_backend_(CreateThreadPoolIoBackend(file, io_pool)),
+      owned_backend_(std::make_unique<IoBackend>(file, io_pool)),
       backend_(owned_backend_.get()),
       options_(options) {
   InitFrames(num_frames);
@@ -68,27 +68,19 @@ BufferPool::BufferPool(PageFile* file, std::size_t num_frames,
 void BufferPool::InitFrames(std::size_t num_frames) {
   DS_CHECK_GE(num_frames, 1u);
   frames_.resize(num_frames);
-  storage_bytes_ = num_frames * file_->page_size();
-  storage_.reset(static_cast<std::byte*>(
-      ::operator new[](storage_bytes_, std::align_val_t{kArenaAlign})));
+  storage_.reset(static_cast<std::byte*>(::operator new[](
+      num_frames * file_->page_size(), std::align_val_t{kArenaAlign})));
   free_frames_.reserve(num_frames);
   for (std::uint32_t i = 0; i < num_frames; ++i) {
     free_frames_.push_back(static_cast<std::uint32_t>(num_frames - 1 - i));
   }
-  // Best effort: a backend without fixed-buffer support ignores this, and
-  // a failed registration (memlock limits) just means unregistered reads.
-  (void)backend_->RegisterBufferArena(storage_.get(), storage_bytes_);
 }
 
 BufferPool::~BufferPool() {
-  {
-    // Wait for in-flight async reads so their callbacks don't touch a
-    // dead pool.
-    std::unique_lock<std::mutex> lock(mutex_);
-    inflight_cv_.wait(lock, [this] { return inflight_ == 0; });
-  }
-  // The arena dies with us; a shared backend must stop referencing it.
-  (void)backend_->RegisterBufferArena(nullptr, 0);
+  // Wait for in-flight async reads so their callbacks don't touch a dead
+  // pool.
+  std::unique_lock<std::mutex> lock(mutex_);
+  inflight_cv_.wait(lock, [this] { return inflight_ == 0; });
 }
 
 std::uint32_t BufferPool::AllocateFrameLocked() {
@@ -164,8 +156,7 @@ void BufferPool::OnLoadComplete(std::uint32_t frame_id, PageId pid,
                                 Status status) {
   if (status.code() == StatusCode::kIOError &&
       attempt < options_.max_read_retries) {
-    // Retry-with-backoff, moved from ReadWithRetry into the completion so
-    // it works for any backend. SubmitRead never blocks on queue depth,
+    // Retry-with-backoff inside the completion. SubmitRead never blocks,
     // so resubmitting from a completion thread cannot deadlock.
     const std::uint32_t backoff = options_.retry_backoff_us << attempt;
     if (backoff > 0) {

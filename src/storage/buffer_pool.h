@@ -76,10 +76,8 @@ struct BufferPoolOptions {
 /// access through AsyncPin: Algorithm 1/2 issue AsyncRead(pid, callback)
 /// and overlap enumeration with the in-flight reads.
 ///
-/// Every physical read goes through an IoBackend (storage/io_backend.h):
-/// the portable thread-pool backend or io_uring. The pool's frame arena is
-/// 4096-byte aligned and registered with the backend so io_uring can use
-/// fixed buffers and O_DIRECT against it.
+/// Every physical read goes through the IoBackend (storage/io_backend.h),
+/// which runs it on the shared I/O thread pool.
 ///
 /// Replacement is LRU over unpinned frames, but DualSim pins whole windows
 /// and unpins them when a window is done, so eviction order is effectively
@@ -89,13 +87,13 @@ struct BufferPoolOptions {
 class BufferPool {
  public:
   /// Reads through `backend` (not owned; must outlive the pool). This is
-  /// the runtime's constructor — the backend is selected by the
-  /// io_backend option and shared across pool regrowth.
+  /// the runtime's constructor — the backend is shared across pool
+  /// regrowth.
   BufferPool(PageFile* file, std::size_t num_frames, IoBackend* backend,
              BufferPoolOptions options = {});
 
-  /// Convenience constructor: builds and owns a thread-pool backend over
-  /// `io_pool` (the pre-IoBackend behaviour; tests and tools use this).
+  /// Convenience constructor: builds and owns a backend over `io_pool`
+  /// (tests and tools use this).
   BufferPool(PageFile* file, std::size_t num_frames, ThreadPool* io_pool,
              BufferPoolOptions options = {});
   ~BufferPool();
@@ -105,10 +103,6 @@ class BufferPool {
 
   std::size_t num_frames() const { return frames_.size(); }
   std::size_t page_size() const { return file_->page_size(); }
-
-  /// Name of the I/O backend serving this pool ("threadpool", "uring").
-  const char* backend_name() const { return backend_->name(); }
-  IoBackend* backend() const { return backend_; }
 
   /// Pins `pid`, reading it synchronously if absent. On success `*data`
   /// points at the frame contents, valid until the matching Unpin.
@@ -132,9 +126,9 @@ class BufferPool {
 
   /// Window-granularity AsyncRead: classifies the whole page set under one
   /// lock pass and hands every miss to the backend as a single batched
-  /// submit (one io_uring_enter for the uring backend). Elements that are
-  /// resident complete inline; duplicates are legal (the second occurrence
-  /// piggybacks on the first one's read, each getting its own pin).
+  /// submit. Elements that are resident complete inline; duplicates are
+  /// legal (the second occurrence piggybacks on the first one's read, each
+  /// getting its own pin).
   void PinMany(std::span<const PageId> pids, PinManyCallback callback);
 
   /// Releases one pin. The data pointer must no longer be used once the
@@ -206,7 +200,6 @@ class BufferPool {
   std::condition_variable ready_cv_;
   std::vector<Frame> frames_;
   std::unique_ptr<std::byte[], ArenaDeleter> storage_;
-  std::size_t storage_bytes_ = 0;
   std::unordered_map<PageId, std::uint32_t> page_table_;
   std::list<std::uint32_t> lru_;  // front = oldest unpinned
   std::vector<std::uint32_t> free_frames_;

@@ -4,10 +4,7 @@
 
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
-#include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -37,181 +34,69 @@ Status PreadFull(int fd, const std::string& path, std::byte* out,
   return Status::OK();
 }
 
-IoMetrics MetricsFor(std::string_view backend_name) {
-  const std::string prefix = "io." + std::string(backend_name) + ".";
-  return IoMetrics{
-      obs::Metrics().GetCounter(prefix + "reads_submitted"),
-      obs::Metrics().GetCounter(prefix + "reads_completed"),
-      obs::Metrics().GetCounter(prefix + "reads_failed"),
-      obs::Metrics().GetCounter(prefix + "batches"),
-      obs::Metrics().GetCounter(prefix + "reads_batched"),
-      obs::Metrics().GetHistogram(prefix + "batch_size"),
-      obs::Metrics().GetHistogram(prefix + "submit_to_complete_us"),
-  };
-}
-
 }  // namespace io_internal
 
-StatusOr<IoBackendKind> ParseIoBackendKind(std::string_view name) {
-  if (name == "auto") return IoBackendKind::kAuto;
-  if (name == "threadpool") return IoBackendKind::kThreadPool;
-  if (name == "uring") return IoBackendKind::kUring;
-  return Status::InvalidArgument("unknown io backend '" + std::string(name) +
-                                 "' (want auto, threadpool, or uring)");
+IoBackend::IoBackend(PageFile* file, ThreadPool* io_pool)
+    : file_(file),
+      pool_(io_pool),
+      metrics_{
+          obs::Metrics().GetCounter("io.threadpool.reads_submitted"),
+          obs::Metrics().GetCounter("io.threadpool.reads_completed"),
+          obs::Metrics().GetCounter("io.threadpool.reads_failed"),
+          obs::Metrics().GetCounter("io.threadpool.batches"),
+          obs::Metrics().GetCounter("io.threadpool.reads_batched"),
+          obs::Metrics().GetHistogram("io.threadpool.batch_size"),
+          obs::Metrics().GetHistogram("io.threadpool.submit_to_complete_us"),
+      } {
+  obs::Metrics().SetLabel("io.backend", "threadpool");
 }
 
-const char* IoBackendKindName(IoBackendKind kind) {
-  switch (kind) {
-    case IoBackendKind::kAuto:
-      return "auto";
-    case IoBackendKind::kThreadPool:
-      return "threadpool";
-    case IoBackendKind::kUring:
-      return "uring";
-  }
-  return "unknown";
+IoBackend::~IoBackend() { Drain(); }
+
+Status IoBackend::ReadPage(PageId pid, std::byte* dst) {
+  return file_->ReadPage(pid, dst);
 }
 
-StatusOr<IoBackendKind> DefaultIoBackendKind() {
-  const char* env = std::getenv("DUALSIM_IO_BACKEND");
-  if (env == nullptr || env[0] == '\0') return IoBackendKind::kThreadPool;
-  auto kind = ParseIoBackendKind(env);
-  if (!kind.ok()) {
-    return Status::InvalidArgument("DUALSIM_IO_BACKEND: " +
-                                   kind.status().message());
-  }
-  return kind;
+void IoBackend::SubmitRead(IoReadRequest request) {
+  metrics_.submitted->Increment();
+  Dispatch(std::move(request));
 }
 
-bool UringAvailable() {
-  static const bool available = io_internal::UringSupported(nullptr);
-  return available;
+void IoBackend::SubmitReads(std::vector<IoReadRequest> batch) {
+  if (batch.empty()) return;
+  metrics_.submitted->Increment(batch.size());
+  metrics_.batches->Increment();
+  metrics_.batched_reads->Increment(batch.size());
+  metrics_.batch_size->Record(batch.size());
+  for (IoReadRequest& request : batch) Dispatch(std::move(request));
 }
 
-std::string UringUnavailableReason() {
-  if (UringAvailable()) return "";
-  std::string reason;
-  io_internal::UringSupported(&reason);
-  return reason;
+void IoBackend::Drain() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  drained_cv_.wait(lock, [this] { return inflight_ == 0; });
 }
 
-IoBackendKind ResolveIoBackendKind(IoBackendKind kind) {
-  if (kind == IoBackendKind::kAuto) {
-    return UringAvailable() ? IoBackendKind::kUring
-                            : IoBackendKind::kThreadPool;
+void IoBackend::Dispatch(IoReadRequest request) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++inflight_;
   }
-  return kind;
-}
-
-namespace {
-
-/// The portable backend: each read is one pool task running the
-/// historical PageFile::ReadPage path (bounds check, fault plan, pread
-/// loop, pagefile.* metrics) and completing on the pool thread — exactly
-/// the serialization behaviour the engine shipped with, now behind the
-/// interface so it can be swapped out.
-class ThreadPoolIoBackend final : public IoBackend {
- public:
-  ThreadPoolIoBackend(PageFile* file, ThreadPool* pool,
-                      IoBackendOptions options)
-      : file_(file),
-        pool_(pool),
-        options_(options),
-        metrics_(io_internal::MetricsFor("threadpool")) {}
-
-  ~ThreadPoolIoBackend() override { Drain(); }
-
-  const char* name() const override { return "threadpool"; }
-  std::size_t queue_depth() const override { return options_.queue_depth; }
-
-  Status ReadPage(PageId pid, std::byte* dst) override {
-    return file_->ReadPage(pid, dst);
-  }
-
-  void SubmitRead(IoReadRequest request) override {
-    metrics_.submitted->Increment();
-    Dispatch(std::move(request));
-  }
-
-  void SubmitReads(std::vector<IoReadRequest> batch) override {
-    if (batch.empty()) return;
-    metrics_.submitted->Increment(batch.size());
-    metrics_.batches->Increment();
-    metrics_.batched_reads->Increment(batch.size());
-    metrics_.batch_size->Record(batch.size());
-    for (IoReadRequest& request : batch) Dispatch(std::move(request));
-  }
-
-  void Drain() override {
-    std::unique_lock<std::mutex> lock(mutex_);
-    drained_cv_.wait(lock, [this] { return inflight_ == 0; });
-  }
-
- private:
-  void Dispatch(IoReadRequest request) {
+  const auto start = std::chrono::steady_clock::now();
+  pool_->Enqueue([this, start, request = std::move(request)]() {
+    Status status = file_->ReadPage(request.pid, request.dst);
+    metrics_.completed->Increment();
+    if (!status.ok()) metrics_.failed->Increment();
+    metrics_.submit_to_complete_us->Record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count()));
+    request.done(std::move(status));
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      ++inflight_;
+      --inflight_;
+      if (inflight_ == 0) drained_cv_.notify_all();
     }
-    const auto start = std::chrono::steady_clock::now();
-    pool_->Enqueue([this, start, request = std::move(request)]() {
-      Status status = file_->ReadPage(request.pid, request.dst);
-      metrics_.completed->Increment();
-      if (!status.ok()) metrics_.failed->Increment();
-      metrics_.submit_to_complete_us->Record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count()));
-      request.done(std::move(status));
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        --inflight_;
-        if (inflight_ == 0) drained_cv_.notify_all();
-      }
-    });
-  }
-
-  PageFile* file_;
-  ThreadPool* pool_;
-  IoBackendOptions options_;
-  io_internal::IoMetrics metrics_;
-
-  std::mutex mutex_;
-  std::condition_variable drained_cv_;
-  std::size_t inflight_ = 0;
-};
-
-}  // namespace
-
-std::unique_ptr<IoBackend> CreateThreadPoolIoBackend(PageFile* file,
-                                                     ThreadPool* io_pool,
-                                                     IoBackendOptions options) {
-  return std::make_unique<ThreadPoolIoBackend>(file, io_pool, options);
-}
-
-StatusOr<std::unique_ptr<IoBackend>> CreateIoBackend(
-    IoBackendKind kind, PageFile* file, ThreadPool* io_pool,
-    IoBackendOptions options) {
-  switch (ResolveIoBackendKind(kind)) {
-    case IoBackendKind::kThreadPool: {
-      if (io_pool == nullptr) {
-        return Status::InvalidArgument(
-            "threadpool io backend needs an I/O thread pool");
-      }
-      std::unique_ptr<IoBackend> backend =
-          CreateThreadPoolIoBackend(file, io_pool, options);
-      obs::Metrics().SetLabel("io.backend", backend->name());
-      return backend;
-    }
-    case IoBackendKind::kUring: {
-      auto backend = CreateUringIoBackend(file, options);
-      if (backend.ok()) obs::Metrics().SetLabel("io.backend", "uring");
-      return backend;
-    }
-    case IoBackendKind::kAuto:
-      break;  // unreachable: Resolve collapses kAuto
-  }
-  return Status::Internal("unresolved io backend kind");
+  });
 }
 
 }  // namespace dualsim

@@ -1,11 +1,11 @@
 #ifndef DUALSIM_STORAGE_IO_BACKEND_H_
 #define DUALSIM_STORAGE_IO_BACKEND_H_
 
+#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <memory>
+#include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "storage/page.h"
@@ -16,178 +16,94 @@ namespace dualsim {
 class PageFile;
 class ThreadPool;
 
-/// Which physical-read engine drives the storage stack. The paper's claim
-/// is CPU/I-O overlap; the backend decides *how* the overlap is achieved:
-///
-///  - kThreadPool — the portable default: positional pread() calls
-///    dispatched onto a worker pool (one syscall per page, per-page
-///    completion). Works everywhere, including non-Linux kernels.
-///  - kUring — Linux io_uring: a whole window's page set is submitted as
-///    one batch of SQEs with a single enter() syscall, completions are
-///    reaped by a dedicated thread, and the buffer pool's frame arena can
-///    be registered for fixed-buffer reads.
-///  - kAuto — uring when compiled in and the running kernel supports it,
-///    otherwise the thread pool (the fallback ladder; see DESIGN.md §10).
-enum class IoBackendKind { kAuto, kThreadPool, kUring };
-
-/// "auto" | "threadpool" | "uring" (case-sensitive, as accepted by the
-/// --io-backend flags and the DUALSIM_IO_BACKEND env var).
-StatusOr<IoBackendKind> ParseIoBackendKind(std::string_view name);
-const char* IoBackendKindName(IoBackendKind kind);
-
-/// The process default when no explicit backend was configured: the
-/// DUALSIM_IO_BACKEND env var when set (an unknown value is an error so a
-/// typo'd CI lane fails loudly instead of silently testing the wrong
-/// backend), else kThreadPool.
-StatusOr<IoBackendKind> DefaultIoBackendKind();
-
-/// Collapses kAuto to a concrete backend: kUring when available on this
-/// build + kernel, else kThreadPool. Explicit kinds pass through
-/// unchanged, so a hard "uring" request on an unsupported kernel still
-/// fails at creation (callers wanting the soft ladder say "auto").
-IoBackendKind ResolveIoBackendKind(IoBackendKind kind);
-
-/// True when the io_uring backend is compiled in (DUALSIM_WITH_URING) and
-/// the running kernel accepts io_uring_setup(2). Probed once per process.
-bool UringAvailable();
-
-/// Human-readable reason why UringAvailable() is false ("" when it is
-/// true): "not compiled in", the setup errno, etc. For diagnostics.
-std::string UringUnavailableReason();
-
-struct IoBackendOptions {
-  /// Maximum reads in flight at the device at once. The uring backend
-  /// sizes its submission queue with this and parks overflow in a
-  /// userspace queue; the thread-pool backend's effective depth is its
-  /// pool's thread count, so the knob is recorded but not enforced there.
-  std::size_t queue_depth = 64;
-  /// Open a second O_DIRECT descriptor and read through it when the page
-  /// size and target buffer satisfy the alignment contract (uring only;
-  /// falls back silently per read when they do not).
-  bool use_o_direct = false;
-};
+namespace obs {
+class Counter;
+class Histogram;
+}  // namespace obs
 
 /// One asynchronous page read: page `pid` into `dst` (page_size bytes),
-/// then `done(status)` exactly once — possibly inline from Submit when the
-/// fault plan rejects the read before it reaches the device.
+/// then `done(status)` exactly once.
 struct IoReadRequest {
   PageId pid = kInvalidPage;
   std::byte* dst = nullptr;
   std::function<void(Status)> done;
 };
 
-/// Abstract async I/O engine behind PageFile/BufferPool. All physical
-/// page reads — synchronous pins, async pins, whole-window batches — go
-/// through one of these; the buffer pool never touches the device itself.
+/// The physical-read engine behind PageFile/BufferPool: every read —
+/// synchronous pins, async pins, whole-window batches — is a positional
+/// pread on a worker of the shared I/O thread pool, and its completion
+/// runs on that worker. This is the paper's AsyncRead: enumeration keeps
+/// running while the pool's threads wait on the device.
 ///
-/// Contract shared by every implementation:
-///  - every submitted request's `done` runs exactly once, from an
-///    unspecified thread (submitter, pool worker, or completion reaper);
-///  - the fault-injection seam is honoured: each physical read consults
-///    PageFile::ConsultReadFaults before touching the device, so the
-///    differential-fuzz harness and fault tests behave identically on
-///    every backend;
-///  - pagefile.* metrics are maintained per read, so the metric
-///    invariants (pagefile.reads >= bufferpool.misses) hold everywhere;
+/// Contract:
+///  - every submitted request's `done` runs exactly once, on an I/O pool
+///    thread;
+///  - each read goes through PageFile::ReadPage, which consults the fault
+///    plan before touching the device and maintains the pagefile.*
+///    metrics (so pagefile.reads >= bufferpool.misses holds);
 ///  - destruction drains: outstanding completions run before the
 ///    destructor returns.
+///
+/// Observability: io.threadpool.reads_submitted / _completed / _failed /
+/// reads_batched counters, io.threadpool.batches, log2 histograms of batch
+/// size and submit-to-complete latency, and the io.backend label
+/// ("threadpool") that bench_e2e uses to find the latency histogram.
+///
+/// `file` and `io_pool` must outlive the backend.
 class IoBackend {
  public:
-  virtual ~IoBackend() = default;
+  IoBackend(PageFile* file, ThreadPool* io_pool);
+  ~IoBackend();
 
   IoBackend(const IoBackend&) = delete;
   IoBackend& operator=(const IoBackend&) = delete;
 
-  /// Stable lowercase identifier ("threadpool", "uring") used as the
-  /// io.backend metrics label and the benches' reporting axis.
-  virtual const char* name() const = 0;
-
-  /// Configured queue depth (informational for the thread-pool backend).
-  virtual std::size_t queue_depth() const = 0;
-
-  /// Synchronous read of one page, honouring the fault plan. The calling
+  /// Synchronous read of one page, consulting the fault plan. The calling
   /// thread blocks until the read completes (BufferPool::Pin path).
-  virtual Status ReadPage(PageId pid, std::byte* dst) = 0;
+  Status ReadPage(PageId pid, std::byte* dst);
 
-  /// Asynchronous read of one page. Never blocks on queue depth: backends
-  /// park overflow internally, so completion handlers may resubmit
-  /// (retry-with-backoff) without deadlocking the completion thread.
-  virtual void SubmitRead(IoReadRequest request) = 0;
+  /// Asynchronous read of one page. Never blocks: the request is queued
+  /// on the I/O pool, so completion handlers may resubmit
+  /// (retry-with-backoff) without deadlocking.
+  void SubmitRead(IoReadRequest request);
 
-  /// Batched submission: the whole set is handed to the device in as few
-  /// syscalls as the backend manages (one io_uring_enter for uring; one
-  /// pool task per page for the thread pool). This is the window-granular
-  /// AsyncRead path — BufferPool::PinMany funnels a scheduler window's
-  /// missing pages here in one call.
-  virtual void SubmitReads(std::vector<IoReadRequest> batch) = 0;
+  /// Batched submission: one pool task per page. This is the
+  /// window-granular AsyncRead path — BufferPool::PinMany funnels a
+  /// scheduler window's missing pages here in one call.
+  void SubmitReads(std::vector<IoReadRequest> batch);
 
   /// Blocks until every submitted read has completed.
-  virtual void Drain() = 0;
+  void Drain();
 
-  /// Registers the buffer pool's frame arena for zero-copy reads (uring
-  /// fixed buffers). base == nullptr unregisters. Optional: backends
-  /// without the capability return OK and ignore it; registration failure
-  /// (e.g. locked-memory limits) degrades to unregistered reads.
-  virtual Status RegisterBufferArena(std::byte* base, std::size_t bytes) {
-    (void)base;
-    (void)bytes;
-    return Status::OK();
-  }
+ private:
+  struct Metrics {
+    obs::Counter* submitted;
+    obs::Counter* completed;
+    obs::Counter* failed;
+    obs::Counter* batches;
+    obs::Counter* batched_reads;
+    obs::Histogram* batch_size;
+    obs::Histogram* submit_to_complete_us;
+  };
 
- protected:
-  IoBackend() = default;
+  void Dispatch(IoReadRequest request);
+
+  PageFile* file_;
+  ThreadPool* pool_;
+  Metrics metrics_;
+
+  std::mutex mutex_;
+  std::condition_variable drained_cv_;
+  std::size_t inflight_ = 0;
 };
-
-/// Portable default: pread-with-retry on the shared I/O thread pool —
-/// the exact read path the engine had before backends were pluggable.
-/// `file` and `io_pool` must outlive the backend.
-std::unique_ptr<IoBackend> CreateThreadPoolIoBackend(
-    PageFile* file, ThreadPool* io_pool, IoBackendOptions options = {});
-
-/// io_uring backend. Fails with Unimplemented when not compiled in or the
-/// kernel rejects io_uring_setup (see UringUnavailableReason()).
-StatusOr<std::unique_ptr<IoBackend>> CreateUringIoBackend(
-    PageFile* file, IoBackendOptions options = {});
-
-/// Factory used by the runtime: resolves kAuto, builds the backend, and
-/// surfaces a typed error when an explicitly requested backend is
-/// unavailable (run_all.sh --io-backend turns that into its own exit
-/// code). `io_pool` may be nullptr for kUring.
-StatusOr<std::unique_ptr<IoBackend>> CreateIoBackend(
-    IoBackendKind kind, PageFile* file, ThreadPool* io_pool,
-    IoBackendOptions options = {});
-
-namespace obs {
-class Counter;
-class Histogram;
-}  // namespace obs
 
 namespace io_internal {
 
 /// Full-length positional read with EINTR retry and short-read looping —
-/// the single place a raw pread lives. Shared by the thread-pool backend
-/// and PageFile's fault-prefix transfer.
+/// the single place a raw pread lives. Used by PageFile for page reads and
+/// for the short-read prefix of an injected fault.
 Status PreadFull(int fd, const std::string& path, std::byte* out,
                  std::size_t len, long long offset);
-
-/// Per-backend io.* observability (satellite of the backend refactor):
-/// io.<name>.reads_submitted / _completed / _failed / _batched counters,
-/// io.<name>.batches, plus log2 histograms of batch size and
-/// submit-to-complete latency. Resolved once per backend instance.
-struct IoMetrics {
-  obs::Counter* submitted;
-  obs::Counter* completed;
-  obs::Counter* failed;
-  obs::Counter* batches;
-  obs::Counter* batched_reads;
-  obs::Histogram* batch_size;
-  obs::Histogram* submit_to_complete_us;
-};
-IoMetrics MetricsFor(std::string_view backend_name);
-
-/// Kernel+build probe behind UringAvailable(); defined by the uring TU
-/// (a stub when DUALSIM_WITH_URING is off). Fills `reason` on false.
-bool UringSupported(std::string* reason);
 
 }  // namespace io_internal
 

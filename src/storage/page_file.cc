@@ -113,15 +113,6 @@ Status PageFile::ConsultReadFaults(PageId pid, std::byte* out) const {
   return Status::OK();
 }
 
-void PageFile::NoteReadIssued() const { Metrics().reads->Increment(); }
-
-void PageFile::NoteReadCompleted(std::uint64_t latency_us) const {
-  Metrics().bytes_read->Increment(page_size_);
-  Metrics().read_latency_us->Record(latency_us);
-}
-
-void PageFile::NoteReadFailed() const { Metrics().read_faults->Increment(); }
-
 void PageFile::DropOsCache(PageId pid) const {
 #ifdef POSIX_FADV_DONTNEED
   if (bypass_os_cache_) {
@@ -138,15 +129,16 @@ void PageFile::DropOsCache(PageId pid) const {
 Status PageFile::ReadPage(PageId pid, std::byte* out) const {
   if (pid >= num_pages_) return Status::InvalidArgument("page out of range");
   const auto start = std::chrono::steady_clock::now();
-  NoteReadIssued();
+  Metrics().reads->Increment();
   DUALSIM_RETURN_IF_ERROR(ConsultReadFaults(pid, out));
   const off_t offset = static_cast<off_t>(pid) * static_cast<off_t>(page_size_);
   Status status = io_internal::PreadFull(fd_, path_, out, page_size_, offset);
   if (!status.ok()) {
-    NoteReadFailed();
+    Metrics().read_faults->Increment();
     return status;
   }
-  NoteReadCompleted(static_cast<std::uint64_t>(
+  Metrics().bytes_read->Increment(page_size_);
+  Metrics().read_latency_us->Record(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count()));

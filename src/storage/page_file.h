@@ -60,31 +60,7 @@ class PageFile {
   }
   FaultInjector* fault_injector() const { return injector_.get(); }
 
-  // --- IoBackend seam -----------------------------------------------------
-  // Backends that read the device directly (io_uring) instead of calling
-  // ReadPage still consult the same fault plan and maintain the same
-  // pagefile.* metrics, so the differential-fuzz harness and the metric
-  // invariant (pagefile.reads >= bufferpool.misses) hold on every backend.
-
-  /// Consults the fault plan for a read of `pid`: applies injected latency,
-  /// transfers the short-read prefix into `out`, and returns the injected
-  /// error (counting it as a read fault). OK when no injector or no fault.
-  Status ConsultReadFaults(PageId pid, std::byte* out) const;
-
-  /// pagefile.reads — call once per physical read attempt, before the
-  /// device is touched (ReadPage does this itself).
-  void NoteReadIssued() const;
-  /// pagefile.bytes_read + read latency histogram, on success.
-  void NoteReadCompleted(std::uint64_t latency_us) const;
-  /// pagefile.read_faults, on device error.
-  void NoteReadFailed() const;
-
-  /// Asks the OS to drop its cache for `pid`'s byte range when the file
-  /// was opened with bypass_os_cache (no-op otherwise).
-  void DropOsCache(PageId pid) const;
-
   int fd() const { return fd_; }
-  bool bypass_os_cache() const { return bypass_os_cache_; }
 
  private:
   PageFile(int fd, std::string path, std::size_t page_size, PageId num_pages,
@@ -94,6 +70,15 @@ class PageFile {
         page_size_(page_size),
         num_pages_(num_pages),
         bypass_os_cache_(bypass_os_cache) {}
+
+  /// Consults the fault plan for a read of `pid`: applies injected latency,
+  /// transfers the short-read prefix into `out`, and returns the injected
+  /// error (counting it as a read fault). OK when no injector or no fault.
+  Status ConsultReadFaults(PageId pid, std::byte* out) const;
+
+  /// Asks the OS to drop its cache for `pid`'s byte range when the file
+  /// was opened with bypass_os_cache (no-op otherwise).
+  void DropOsCache(PageId pid) const;
 
   int fd_;
   std::string path_;

@@ -9,6 +9,7 @@
 #include <thread>
 #include <unistd.h>
 
+#include "obs/metrics.h"
 #include "storage/io_backend.h"
 #include "util/thread_pool.h"
 
@@ -17,9 +18,9 @@ namespace {
 
 constexpr std::size_t kPage = 128;
 
-/// Every pool test runs once per I/O backend (the suite is instantiated
-/// over both names; the uring variant skips gracefully on kernels or
-/// builds without io_uring support).
+/// Instantiated once, for the one page reader, under the name its
+/// io.backend metrics label reports, so case ids read
+/// Backends/BufferPoolTest.<Case>/threadpool.
 class BufferPoolTest : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
@@ -35,14 +36,7 @@ class BufferPoolTest : public ::testing::TestWithParam<std::string> {
       ASSERT_TRUE(file_->WritePage(pid, page.data()).ok());
     }
     io_ = std::make_unique<ThreadPool>(2);
-    if (GetParam() == "uring" && !UringAvailable()) {
-      GTEST_SKIP() << "io_uring unavailable: " << UringUnavailableReason();
-    }
-    auto kind = ParseIoBackendKind(GetParam());
-    ASSERT_TRUE(kind.ok()) << kind.status().ToString();
-    auto backend = CreateIoBackend(*kind, file_.get(), io_.get());
-    ASSERT_TRUE(backend.ok()) << backend.status().ToString();
-    backend_ = std::move(*backend);
+    backend_ = std::make_unique<IoBackend>(file_.get(), io_.get());
   }
   void TearDown() override {
     backend_.reset();
@@ -298,10 +292,9 @@ TEST_P(BufferPoolTest, PinManyLargerThanPoolReportsStarvation) {
 }
 
 TEST_P(BufferPoolTest, LegacyThreadPoolCtorStillWorks) {
-  // The convenience constructor (pool owns a threadpool backend) is the
-  // pre-IoBackend surface tests and tools rely on.
+  // The convenience constructor (pool owns its backend) is the surface
+  // tests and tools rely on.
   BufferPool pool(file_.get(), 4, io_.get());
-  EXPECT_STREQ(pool.backend_name(), "threadpool");
   const std::byte* data = nullptr;
   ASSERT_TRUE(pool.Pin(9, &data).ok());
   EXPECT_EQ(static_cast<std::uint8_t>(data[0]), 10u);
@@ -310,11 +303,16 @@ TEST_P(BufferPoolTest, LegacyThreadPoolCtorStillWorks) {
 
 TEST_P(BufferPoolTest, BackendNameMatchesParam) {
   BufferPool pool(file_.get(), 4, backend_.get());
-  EXPECT_EQ(std::string(pool.backend_name()), GetParam());
+  const std::byte* data = nullptr;
+  ASSERT_TRUE(pool.Pin(1, &data).ok());
+  pool.Unpin(1);
+#ifndef DUALSIM_NO_METRICS
+  EXPECT_EQ(obs::Metrics().Snapshot().label("io.backend"), GetParam());
+#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, BufferPoolTest,
-                         ::testing::Values("threadpool", "uring"),
+                         ::testing::Values("threadpool"),
                          [](const auto& info) { return info.param; });
 
 }  // namespace

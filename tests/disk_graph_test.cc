@@ -15,43 +15,30 @@
 namespace dualsim {
 namespace {
 
-/// Round-trip verification runs once per I/O backend: the read-back path
-/// goes through the backend under test, so a backend that corrupts or
-/// drops bytes fails the content comparison. The uring variant skips
-/// gracefully when io_uring is unavailable.
+/// Round-trip verification reads every page back through the IoBackend,
+/// so a read path that corrupts or drops bytes fails the content
+/// comparison. Instantiated once, for the one page reader, under the
+/// name its io.backend metrics label reports, so case ids read
+/// Backends/DiskGraphTest.<Case>/threadpool.
 class DiskGraphTest : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
            ("dualsim_dg_test_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
-    if (GetParam() == "uring" && !UringAvailable()) {
-      GTEST_SKIP() << "io_uring unavailable: " << UringUnavailableReason();
-    }
     io_ = std::make_unique<ThreadPool>(2);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
   std::string PathFor(const std::string& name) { return (dir_ / name).string(); }
 
-  /// One page read through the backend under test.
-  Status ReadVia(DiskGraph& disk, PageId pid, std::byte* out) {
-    if (backend_ == nullptr) {
-      auto kind = ParseIoBackendKind(GetParam());
-      EXPECT_TRUE(kind.ok()) << kind.status().ToString();
-      auto backend = CreateIoBackend(*kind, &disk.file(), io_.get());
-      EXPECT_TRUE(backend.ok()) << backend.status().ToString();
-      backend_ = std::move(*backend);
-    }
-    return backend_->ReadPage(pid, out);
-  }
-
   /// Reads back the whole database through PageViews and compares with g.
   void VerifyContents(const Graph& g, DiskGraph& disk) {
+    IoBackend backend(&disk.file(), io_.get());
     std::vector<std::vector<VertexId>> adj(g.NumVertices());
     std::vector<std::byte> buf(disk.page_size());
     for (PageId pid = 0; pid < disk.num_pages(); ++pid) {
-      ASSERT_TRUE(ReadVia(disk, pid, buf.data()).ok());
+      ASSERT_TRUE(backend.ReadPage(pid, buf.data()).ok());
       PageView view(buf.data(), disk.page_size());
       for (std::uint32_t s = 0; s < view.NumRecords(); ++s) {
         VertexRecord rec = view.GetRecord(s);
@@ -66,14 +53,10 @@ class DiskGraphTest : public ::testing::TestWithParam<std::string> {
       ASSERT_EQ(adj[v].size(), want.size()) << "vertex " << v;
       EXPECT_TRUE(std::equal(want.begin(), want.end(), adj[v].begin()));
     }
-    // The backend is bound to this disk's PageFile; do not let it outlive
-    // the test-local DiskGraph.
-    backend_.reset();
   }
 
   std::filesystem::path dir_;
   std::unique_ptr<ThreadPool> io_;
-  std::unique_ptr<IoBackend> backend_;
 };
 
 TEST_P(DiskGraphTest, BuildAndOpenRoundTrip) {
@@ -258,7 +241,7 @@ TEST_P(DiskGraphTest, OpenRejectsNonMonotoneCatalog) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, DiskGraphTest,
-                         ::testing::Values("threadpool", "uring"),
+                         ::testing::Values("threadpool"),
                          [](const auto& info) { return info.param; });
 
 }  // namespace

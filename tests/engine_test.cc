@@ -207,6 +207,13 @@ struct SweepCase {
   PaperQuery query;
 };
 
+// gtest prints the parameter into each listed test id; without this it
+// dumps the struct's bytes, which hold graph_name's address and so change
+// with every build and load address.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.graph_name << "/" << PaperQueryName(c.query);
+}
+
 std::string SweepName(const ::testing::TestParamInfo<SweepCase>& info) {
   return std::string(info.param.graph_name) +
          PaperQueryName(info.param.query);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <latch>
@@ -21,18 +20,9 @@ namespace {
 constexpr std::size_t kPage = 256;
 constexpr PageId kPages = 64;
 
-/// Scoped setenv/unsetenv so fallback-ladder tests cannot leak state.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
-
+/// Instantiated once, for the one page reader, under the name its
+/// io.backend metrics label reports, so case ids read
+/// Backends/IoBackendTest.<Case>/threadpool.
 class IoBackendTest : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
@@ -48,23 +38,14 @@ class IoBackendTest : public ::testing::TestWithParam<std::string> {
       ASSERT_TRUE(file_->WritePage(pid, page.data()).ok());
     }
     io_ = std::make_unique<ThreadPool>(2);
-    if (GetParam() == "uring" && !UringAvailable()) {
-      GTEST_SKIP() << "io_uring unavailable: " << UringUnavailableReason();
-    }
   }
   void TearDown() override {
     file_.reset();
     std::filesystem::remove_all(dir_);
   }
 
-  std::unique_ptr<IoBackend> MakeBackend(std::size_t queue_depth = 8) {
-    auto kind = ParseIoBackendKind(GetParam());
-    EXPECT_TRUE(kind.ok());
-    IoBackendOptions options;
-    options.queue_depth = queue_depth;
-    auto backend = CreateIoBackend(*kind, file_.get(), io_.get(), options);
-    EXPECT_TRUE(backend.ok()) << backend.status().ToString();
-    return std::move(*backend);
+  std::unique_ptr<IoBackend> MakeBackend() {
+    return std::make_unique<IoBackend>(file_.get(), io_.get());
   }
 
   static int Expected(PageId pid) { return static_cast<int>(pid % 251 + 1); }
@@ -76,7 +57,6 @@ class IoBackendTest : public ::testing::TestWithParam<std::string> {
 
 TEST_P(IoBackendTest, SynchronousReadPage) {
   auto backend = MakeBackend();
-  EXPECT_EQ(std::string(backend->name()), GetParam());
   std::vector<std::byte> buf(kPage);
   ASSERT_TRUE(backend->ReadPage(5, buf.data()).ok());
   EXPECT_EQ(static_cast<int>(buf[0]), Expected(5));
@@ -85,7 +65,7 @@ TEST_P(IoBackendTest, SynchronousReadPage) {
 
 TEST_P(IoBackendTest, BatchedSubmitCompletesEveryRequestWithItsOwnBuffer) {
   auto backend = MakeBackend();
-  // One distinct destination per request: a backend that crosses wires
+  // One distinct destination per request: a reader that crosses wires
   // (wrong completion for a slot) corrupts a specific buffer.
   std::vector<std::vector<std::byte>> bufs(kPages,
                                            std::vector<std::byte>(kPage));
@@ -112,10 +92,10 @@ TEST_P(IoBackendTest, BatchedSubmitCompletesEveryRequestWithItsOwnBuffer) {
 }
 
 TEST_P(IoBackendTest, QueueDepthSaturationParksOverflow) {
-  // Far more in-flight reads than the submission queue holds: the backend
-  // must park overflow in userspace and complete everything (never block
-  // the submitter, never drop a request).
-  auto backend = MakeBackend(/*queue_depth=*/2);
+  // Far more in-flight reads than the I/O pool has threads (its queue
+  // depth): the backend must queue the overflow and complete everything
+  // (never block the submitter, never drop a request).
+  auto backend = MakeBackend();
   constexpr int kRounds = 8;
   std::vector<std::vector<std::byte>> bufs(kPages,
                                            std::vector<std::byte>(kPage));
@@ -200,22 +180,21 @@ TEST_P(IoBackendTest, MetricsCountSubmissions) {
   backend->Drain();
   const obs::MetricsSnapshot snap = obs::Metrics().Snapshot();
 #ifndef DUALSIM_NO_METRICS
-  const std::string prefix = "io." + GetParam() + ".";
-  EXPECT_EQ(snap.counter(prefix + "reads_submitted"), 2u);
-  EXPECT_EQ(snap.counter(prefix + "reads_completed"), 2u);
-  EXPECT_EQ(snap.counter(prefix + "batches"), 1u);
-  EXPECT_EQ(snap.counter(prefix + "reads_batched"), 2u);
-  // The backend label names the backend serving the process.
-  EXPECT_EQ(snap.label("io.backend"), GetParam());
+  EXPECT_EQ(snap.counter("io.threadpool.reads_submitted"), 2u);
+  EXPECT_EQ(snap.counter("io.threadpool.reads_completed"), 2u);
+  EXPECT_EQ(snap.counter("io.threadpool.batches"), 1u);
+  EXPECT_EQ(snap.counter("io.threadpool.reads_batched"), 2u);
+  // bench_e2e finds the latency histogram through this label.
+  EXPECT_EQ(snap.label("io.backend"), "threadpool");
 #else
   (void)snap;
 #endif
 }
 
 TEST_P(IoBackendTest, FaultInjectionInterceptsSubmittedReads) {
-  // The fault seam must fire on the batched path of every backend: an
-  // injected permanent error surfaces through done(status) while the
-  // rest of the window completes normally.
+  // The fault seam must fire on the batched path: an injected permanent
+  // error surfaces through done(status) while the rest of the window
+  // completes normally.
   auto injector = std::make_shared<FaultInjector>();
   injector->FailReadForever(3);
   file_->SetFaultInjector(injector);
@@ -254,83 +233,10 @@ TEST_P(IoBackendTest, FaultInjectionInterceptsSubmittedReads) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, IoBackendTest,
-                         ::testing::Values("threadpool", "uring"),
+                         ::testing::Values("threadpool"),
                          [](const auto& info) { return info.param; });
 
-// ---------------------------------------------------------------------------
-// Backend selection and the fallback ladder (backend-independent).
-
-TEST(IoBackendKindTest, ParseAcceptsKnownNamesOnly) {
-  EXPECT_TRUE(ParseIoBackendKind("auto").ok());
-  EXPECT_TRUE(ParseIoBackendKind("threadpool").ok());
-  EXPECT_TRUE(ParseIoBackendKind("uring").ok());
-  EXPECT_EQ(ParseIoBackendKind("io_uring").status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(ParseIoBackendKind("").status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(IoBackendKindTest, KindNamesRoundTrip) {
-  for (IoBackendKind kind :
-       {IoBackendKind::kAuto, IoBackendKind::kThreadPool,
-        IoBackendKind::kUring}) {
-    auto parsed = ParseIoBackendKind(IoBackendKindName(kind));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, kind);
-  }
-}
-
-TEST(IoBackendKindTest, ResolveCollapsesAutoToConcrete) {
-  const IoBackendKind resolved = ResolveIoBackendKind(IoBackendKind::kAuto);
-  EXPECT_NE(resolved, IoBackendKind::kAuto);
-  EXPECT_EQ(ResolveIoBackendKind(IoBackendKind::kThreadPool),
-            IoBackendKind::kThreadPool);
-  EXPECT_EQ(ResolveIoBackendKind(IoBackendKind::kUring),
-            IoBackendKind::kUring);
-}
-
-TEST(IoBackendKindTest, DefaultHonoursEnvAndRejectsTypos) {
-  {
-    ScopedEnv env("DUALSIM_IO_BACKEND", "threadpool");
-    auto kind = DefaultIoBackendKind();
-    ASSERT_TRUE(kind.ok());
-    EXPECT_EQ(*kind, IoBackendKind::kThreadPool);
-  }
-  {
-    ScopedEnv env("DUALSIM_IO_BACKEND", "not-a-backend");
-    EXPECT_EQ(DefaultIoBackendKind().status().code(),
-              StatusCode::kInvalidArgument);
-  }
-}
-
-TEST(IoBackendFallbackTest, FakeNoUringDisablesProbe) {
-  ScopedEnv env("DUALSIM_FAKE_NO_URING", "1");
-  std::string reason;
-  EXPECT_FALSE(io_internal::UringSupported(&reason));
-  EXPECT_FALSE(reason.empty());
-}
-
-TEST(IoBackendFallbackTest, ExplicitUringUnavailableIsTypedError) {
-  ScopedEnv env("DUALSIM_FAKE_NO_URING", "1");
-  auto dir = std::filesystem::temp_directory_path() /
-             ("dualsim_io_fb_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-  auto file = PageFile::Create((dir / "fb.pages").string(), kPage);
-  ASSERT_TRUE(file.ok());
-  // CreateUringIoBackend probes uncached, so the fake env var is honoured
-  // even after other tests populated the process-wide cache.
-  auto backend = CreateUringIoBackend(file->get());
-  EXPECT_FALSE(backend.ok());
-  EXPECT_EQ(backend.status().code(), StatusCode::kUnimplemented);
-  // The factory ladder: explicit uring fails, auto falls back.
-  ThreadPool pool(1);
-  auto explicit_uring =
-      CreateIoBackend(IoBackendKind::kUring, file->get(), &pool);
-  EXPECT_FALSE(explicit_uring.ok());
-  file->reset();
-  std::filesystem::remove_all(dir);
-}
-
+/// PreadFull's short-read guard: a read past EOF fails instead of looping.
 TEST(IoBackendFallbackTest, PreadFullReportsShortReads) {
   auto dir = std::filesystem::temp_directory_path() /
              ("dualsim_io_pf_" + std::to_string(::getpid()));

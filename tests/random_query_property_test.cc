@@ -37,8 +37,7 @@ class RandomQueryPropertyTest : public ::testing::TestWithParam<int> {
            ("dualsim_fuzz_" + std::to_string(::getpid()) + "_" +
             std::to_string(GetParam()));
     std::filesystem::create_directories(dir_);
-    // Rotate the forced intersection kernel with the seed (mirrors the
-    // io-backend parameterization of the storage suites): every kernel
+    // Rotate the forced intersection kernel with the seed: every kernel
     // variant gets fuzzed against the oracle without multiplying the
     // suite's runtime. Unavailable kernels degrade to the dispatcher.
     static const IntersectKernel kKernels[] = {
