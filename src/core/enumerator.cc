@@ -1,6 +1,8 @@
 #include "core/enumerator.h"
 
+#include <algorithm>
 #include <array>
+#include <limits>
 #include <vector>
 
 #include "core/intersect.h"
@@ -75,17 +77,13 @@ class Matcher {
       }
     }
 
+    const std::vector<WindowIndex::Entry>& window =
+        in_.domains[l].index->entries();
     if (num_connected == 0) {
       // Root-like level: scan the window (or the provided seeds at depth 0).
-      if (depth == 0 && !in_.seeds.empty()) {
-        for (const WindowIndex::Entry& e : in_.seeds) {
-          if (Admissible(l, e.vertex, depth)) {
-            TryAssign(l, depth, e.vertex, e.adjacency);
-          }
-        }
-        return;
-      }
-      for (const WindowIndex::Entry& e : in_.domains[l].index->entries()) {
+      std::span<const WindowIndex::Entry> scan = window;
+      if (depth == 0 && !in_.seeds.empty()) scan = in_.seeds;
+      for (const WindowIndex::Entry& e : scan) {
         if (Admissible(l, e.vertex, depth)) {
           TryAssign(l, depth, e.vertex, e.adjacency);
         }
@@ -94,9 +92,39 @@ class Matcher {
     }
 
     // Connected level: candidates = intersection of the assigned adjacent
-    // levels' adjacency lists, filtered to this level's window.
-    std::vector<VertexId>& candidates = scratch_[depth];
-    IntersectMany({connected.data(), num_connected}, &candidates);
+    // levels' adjacency lists, filtered to this level's window. Only ids in
+    // [lo, hi] can pass: the window's first and last resident vertex,
+    // tightened by Property 1 against every assigned level (above earlier
+    // positions, below later ones). Trimming each list to that interval
+    // first keeps the intersection inside the window, as Algorithm 5 does.
+    if (window.empty()) return;
+    VertexId lo = window.front().vertex;
+    VertexId hi = window.back().vertex;
+    for (std::size_t d = 0; d < depth; ++d) {
+      const std::uint8_t a = in_.level_order[d];
+      const VertexId va = vertex_[a];
+      // The ±1 cannot wrap: nothing lies above the largest id or below 0.
+      if ((*in_.matching_order)[a] < pos_l) {
+        if (va == std::numeric_limits<VertexId>::max()) return;
+        lo = std::max(lo, va + 1);
+      } else {
+        if (va == 0) return;
+        hi = std::min(hi, va - 1);
+      }
+    }
+    if (lo > hi) return;
+    for (std::size_t i = 0; i < num_connected; ++i) {
+      const std::span<const VertexId> list = connected[i];
+      const auto first = std::lower_bound(list.begin(), list.end(), lo);
+      const auto last = std::upper_bound(first, list.end(), hi);
+      if (first == last) return;
+      connected[i] = {first, last};
+    }
+    std::span<const VertexId> candidates = connected[0];
+    if (num_connected > 1) {
+      IntersectMany({connected.data(), num_connected}, &scratch_[depth]);
+      candidates = scratch_[depth];
+    }
     for (VertexId v : candidates) {
       if (!Admissible(l, v, depth)) continue;
       bool resident = false;

@@ -1,7 +1,6 @@
 #include "core/extension.h"
 
 #include <array>
-#include <vector>
 
 #include "core/intersect.h"
 #include "util/logging.h"
@@ -12,13 +11,13 @@ namespace {
 struct ExtensionState {
   const RbiQueryGraph* rbi;
   std::span<const QueryVertex> order;
+  std::span<const std::uint16_t> slots;
   std::span<VertexId> mapping;
   std::span<const std::span<const VertexId>> red_adjacency;
   std::span<const LabelId> data_labels;
+  IvoryLists* ivory;
   const FullEmbeddingFn* on_embedding;
   std::uint64_t count = 0;
-  // Scratch intersection buffers, one per recursion depth.
-  std::vector<std::vector<VertexId>> scratch;
 };
 
 bool AdmissibleNonRed(const ExtensionState& s, QueryVertex u, VertexId v) {
@@ -57,28 +56,34 @@ void Recurse(ExtensionState& s, std::size_t depth) {
   }
   const QueryVertex u = s.order[depth];
 
-  // Candidates: intersection of the adjacency lists of u's red neighbors
-  // (>= 1 of them since the red set is a vertex cover of a connected q).
-  std::array<std::span<const VertexId>, kMaxQueryVertices> lists;
-  std::size_t num_lists = 0;
-  for (QueryVertex r : s.rbi->red) {
-    if (s.rbi->query.HasEdge(u, r)) lists[num_lists++] = s.red_adjacency[r];
-  }
-  DS_CHECK_GE(num_lists, 1u);
-
-  if (num_lists == 1) {
-    // Black vertex: browse the single red neighbor's adjacency list.
-    for (VertexId v : lists[0]) {
-      if (!AdmissibleNonRed(s, u, v)) continue;
-      s.mapping[u] = v;
-      Recurse(s, depth + 1);
-      s.mapping[u] = kNoVertex;
+  // Candidates: a black vertex browses its single red neighbor's adjacency
+  // list; an ivory vertex takes its slot's m-way intersection of its red
+  // neighbors' lists, computed on first use in this red assignment.
+  std::span<const VertexId> candidates;
+  const std::uint16_t slot = s.slots[depth];
+  if (slot == kNoIvorySlot) {
+    for (QueryVertex r : s.rbi->red) {
+      if (s.rbi->query.HasEdge(u, r)) {
+        candidates = s.red_adjacency[r];
+        break;
+      }
     }
-    return;
+  } else {
+    std::vector<VertexId>& list = s.ivory->list[slot];
+    if (!s.ivory->computed[slot]) {
+      std::array<std::span<const VertexId>, kMaxQueryVertices> lists;
+      std::size_t num_lists = 0;
+      for (QueryVertex r : s.rbi->red) {
+        if (s.rbi->query.HasEdge(u, r)) {
+          lists[num_lists++] = s.red_adjacency[r];
+        }
+      }
+      DS_CHECK_GE(num_lists, 2u);
+      IntersectMany({lists.data(), num_lists}, &list);
+      s.ivory->computed[slot] = 1;
+    }
+    candidates = list;
   }
-  // Ivory vertex: m-way intersection.
-  std::vector<VertexId>& candidates = s.scratch[depth];
-  IntersectMany({lists.data(), num_lists}, &candidates);
   for (VertexId v : candidates) {
     if (!AdmissibleNonRed(s, u, v)) continue;
     s.mapping[u] = v;
@@ -91,13 +96,13 @@ void Recurse(ExtensionState& s, std::size_t depth) {
 
 std::uint64_t ExtendNonRed(
     const RbiQueryGraph& rbi, std::span<const QueryVertex> nonred_order,
-    std::span<VertexId> mapping,
+    std::span<const std::uint16_t> slots, std::span<VertexId> mapping,
     std::span<const std::span<const VertexId>> red_adjacency,
-    std::span<const LabelId> data_labels,
+    std::span<const LabelId> data_labels, IvoryLists* ivory,
     const FullEmbeddingFn* on_embedding) {
-  ExtensionState s{&rbi,        nonred_order,  mapping, red_adjacency,
-                   data_labels, on_embedding, 0,       {}};
-  s.scratch.resize(nonred_order.size());
+  DS_CHECK_EQ(slots.size(), nonred_order.size());
+  ExtensionState s{&rbi,          nonred_order, slots, mapping,
+                   red_adjacency, data_labels,  ivory, on_embedding};
   Recurse(s, 0);
   return s.count;
 }

@@ -54,11 +54,12 @@ void FlushTaskMetrics(const TaskCounters& c, bool internal) {
 /// the emitted data sequence and extends it over the non-red vertices.
 class ExtendingEmitter : public RedEmitter {
  public:
-  ExtendingEmitter(const QueryPlan& plan, const VGroupSequence& group,
+  ExtendingEmitter(const QueryPlan& plan, std::size_t g,
                    std::span<const LabelId> data_labels,
                    const FullEmbeddingFn* visitor, TaskCounters* counters)
       : plan_(plan),
-        group_(group),
+        group_(plan.groups[g]),
+        slots_(plan.ivory_slots[g]),
         data_labels_(data_labels),
         visitor_(visitor),
         counters_(counters) {
@@ -71,7 +72,11 @@ class ExtendingEmitter : public RedEmitter {
     ++counters_->red_assignments;
     counters_->vgroup_expansions += group_.members.size();
     const std::uint8_t num_q = plan_.rbi.query.NumVertices();
-    for (const FullOrderSequence& qs : group_.members) {
+    // Ivory lists depend only on this red assignment: members sharing a
+    // slot reuse the list its first user computed.
+    ivory_.Reset(slots_.NumSlots());
+    for (std::size_t m = 0; m < group_.members.size(); ++m) {
+      const FullOrderSequence& qs = group_.members[m];
       // Position k of qs maps red-graph vertex qs[k] to the k-th data
       // vertex; translate to original query-vertex indexing.
       for (std::uint8_t k = 0; k < qs.size(); ++k) {
@@ -80,8 +85,9 @@ class ExtendingEmitter : public RedEmitter {
         red_adjacency_[u] = adjacency_by_position[k];
       }
       counters_->embeddings += ExtendNonRed(
-          plan_.rbi, plan_.nonred_order, {mapping_.data(), num_q},
-          {red_adjacency_.data(), num_q}, data_labels_, visitor_);
+          plan_.rbi, plan_.nonred_order, slots_.member_slots[m],
+          {mapping_.data(), num_q}, {red_adjacency_.data(), num_q},
+          data_labels_, &ivory_, visitor_);
       for (std::uint8_t k = 0; k < qs.size(); ++k) {
         mapping_[plan_.rbi.red[qs[k]]] = kNoVertex;
       }
@@ -91,11 +97,13 @@ class ExtendingEmitter : public RedEmitter {
  private:
   const QueryPlan& plan_;
   const VGroupSequence& group_;
+  const IvorySlotTable& slots_;
   std::span<const LabelId> data_labels_;
   const FullEmbeddingFn* visitor_;
   TaskCounters* counters_;
   std::array<VertexId, kMaxQueryVertices> mapping_;
   std::array<std::span<const VertexId>, kMaxQueryVertices> red_adjacency_;
+  IvoryLists ivory_;
 };
 
 }  // namespace
@@ -135,8 +143,8 @@ void MatchPass::RunInternalChunk(std::size_t g, std::size_t begin,
   input.level_order = plan.internal_level_order[g];
   input.seeds = {st.index.entries().data() + begin, end - begin};
   input.data_labels = ctx_.data_labels;
-  ExtendingEmitter emitter(plan, plan.groups[g], ctx_.data_labels,
-                           ctx_.visitor, &counters);
+  ExtendingEmitter emitter(plan, g, ctx_.data_labels, ctx_.visitor,
+                           &counters);
   MatchGroup(input, emitter);
   internal_embeddings_.fetch_add(counters.embeddings);
   red_assignments_.fetch_add(counters.red_assignments);
@@ -245,8 +253,8 @@ void MatchPass::EnumerateLastLevelRun(
     input.first_page = ctx_.disk->FirstPageMap();
     input.data_labels = ctx_.data_labels;
     input.skip_if_all_pages_in = &ctx_.level[0].window_pages;
-    ExtendingEmitter emitter(plan, plan.groups[g], ctx_.data_labels,
-                             ctx_.visitor, &counters);
+    ExtendingEmitter emitter(plan, g, ctx_.data_labels, ctx_.visitor,
+                             &counters);
     MatchGroup(input, emitter);
   }
   external_embeddings_.fetch_add(counters.embeddings);

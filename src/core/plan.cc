@@ -1,6 +1,7 @@
 #include "core/plan.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "query/symmetry_breaking.h"
@@ -56,6 +57,34 @@ MatchingOrder WorstMatchingOrder(const std::vector<VGroupSequence>& groups,
     }
   }
   return worst;
+}
+
+/// The ivory slot table of `group` for the extension order `nonred_order`.
+IvorySlotTable BuildIvorySlots(const RbiQueryGraph& rbi,
+                               const std::vector<QueryVertex>& nonred_order,
+                               const VGroupSequence& group) {
+  IvorySlotTable table;
+  for (const FullOrderSequence& qs : group.members) {
+    std::vector<std::uint16_t>& slots = table.member_slots.emplace_back();
+    for (QueryVertex u : nonred_order) {
+      std::uint16_t positions = 0;
+      for (std::uint8_t k = 0; k < qs.size(); ++k) {
+        if (rbi.query.HasEdge(u, rbi.red[qs[k]])) positions |= 1u << k;
+      }
+      if (std::popcount(positions) < 2) {
+        slots.push_back(kNoIvorySlot);
+        continue;
+      }
+      const auto it = std::find(table.slot_positions.begin(),
+                                table.slot_positions.end(), positions);
+      slots.push_back(
+          static_cast<std::uint16_t>(it - table.slot_positions.begin()));
+      if (it == table.slot_positions.end()) {
+        table.slot_positions.push_back(positions);
+      }
+    }
+  }
+  return table;
 }
 
 }  // namespace
@@ -125,6 +154,10 @@ StatusOr<QueryPlan> PreparePlan(const QueryGraph& q,
                      };
                      return red_degree(a) > red_degree(b);
                    });
+  for (const VGroupSequence& group : plan.groups) {
+    plan.ivory_slots.push_back(
+        BuildIvorySlots(plan.rbi, plan.nonred_order, group));
+  }
 
   plan.prepare_millis = timer.ElapsedMillis();
   return plan;

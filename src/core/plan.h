@@ -1,14 +1,33 @@
 #ifndef DUALSIM_CORE_PLAN_H_
 #define DUALSIM_CORE_PLAN_H_
 
+#include <cstdint>
 #include <vector>
 
+#include "core/extension.h"
 #include "core/sequences.h"
 #include "core/vgroup_forest.h"
 #include "query/rbi.h"
 #include "util/status.h"
 
 namespace dualsim {
+
+/// Plan-time sharing table for ivory candidate lists within one v-group.
+/// An ivory vertex's candidates are the intersection of the adjacency
+/// lists at the *positions* its red neighbours take under a member
+/// sequence. Inside one red assignment distinct positions hold distinct
+/// data vertices, so equal position sets give equal lists: each distinct
+/// set is one slot, computed at most once per red assignment and shared by
+/// every member and every deeper candidate (DESIGN.md §11).
+struct IvorySlotTable {
+  /// slot_positions[s] = position set of slot s (bit k = position k).
+  std::vector<std::uint16_t> slot_positions;
+  /// member_slots[m][i] = slot of nonred_order[i] under member m of the
+  /// group, or kNoIvorySlot for a black vertex.
+  std::vector<std::vector<std::uint16_t>> member_slots;
+
+  std::size_t NumSlots() const { return slot_positions.size(); }
+};
 
 /// Knobs for the preparation step; the non-default settings exist for the
 /// ablation benchmarks (DESIGN.md §6).
@@ -41,6 +60,7 @@ struct QueryPlan {
   std::vector<std::vector<std::uint8_t>> internal_level_order;
   /// Non-red query vertices in extension order (most red neighbors first).
   std::vector<QueryVertex> nonred_order;
+  std::vector<IvorySlotTable> ivory_slots;  // parallel to `groups`
   /// Elapsed preparation time (Table 6 reports this; paper: <= 1 msec).
   double prepare_millis = 0.0;
 

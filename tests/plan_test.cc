@@ -114,5 +114,52 @@ TEST(PlanTest, ForestsMatchGroups) {
   }
 }
 
+/// House (q5): red u0, u2, u3 (red-graph r0, r1, r2); ivory u1 sees
+/// r0, r1 and ivory u4 sees r1, r2. In every group, u1's position set is
+/// the same under both members, so it gets one slot; u4's differs.
+TEST(PlanTest, HouseIvorySlotTable) {
+  auto plan = PreparePlan(MakePaperQuery(PaperQuery::kQ5));
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan->nonred_order, (std::vector<QueryVertex>{1, 4}));
+  ASSERT_EQ(plan->ivory_slots.size(), 3u);
+  const std::vector<std::vector<std::uint16_t>> positions = {
+      {0b011, 0b110, 0b101},  // (r0,r1,r2) (r1,r0,r2)
+      {0b101, 0b110, 0b011},  // (r0,r2,r1) (r1,r2,r0)
+      {0b110, 0b101, 0b011},  // (r2,r0,r1) (r2,r1,r0)
+  };
+  for (std::size_t g = 0; g < 3; ++g) {
+    const IvorySlotTable& t = plan->ivory_slots[g];
+    EXPECT_EQ(t.slot_positions, positions[g]) << "group " << g;
+    EXPECT_EQ(t.member_slots,
+              (std::vector<std::vector<std::uint16_t>>{{0, 1}, {0, 2}}))
+        << "group " << g;
+  }
+}
+
+/// 4-clique (q4): one group, one member, one ivory vertex seeing all three
+/// positions — one slot per group.
+TEST(PlanTest, CliqueIvorySlotTable) {
+  auto plan = PreparePlan(MakePaperQuery(PaperQuery::kQ4));
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan->ivory_slots.size(), 1u);
+  EXPECT_EQ(plan->ivory_slots[0].slot_positions,
+            (std::vector<std::uint16_t>{0b111}));
+  EXPECT_EQ(plan->ivory_slots[0].member_slots,
+            (std::vector<std::vector<std::uint16_t>>{{0}}));
+}
+
+/// Black vertices (a single red neighbour) get no slot: the 3-path's
+/// leaves scan the middle vertex's list.
+TEST(PlanTest, BlackVerticesHaveNoIvorySlot) {
+  auto plan = PreparePlan(MakePathQuery(3));
+  ASSERT_TRUE(plan.ok());
+  for (const IvorySlotTable& t : plan->ivory_slots) {
+    EXPECT_EQ(t.NumSlots(), 0u);
+    for (const auto& row : t.member_slots) {
+      EXPECT_EQ(row, (std::vector<std::uint16_t>(2, kNoIvorySlot)));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dualsim
