@@ -2,7 +2,8 @@
 # Sanitizer sweep over the runtime layer (DUALSIM_SANITIZE CMake option):
 #   1. AddressSanitizer build running the full test suite.
 #   2. ThreadSanitizer build running the concurrency-sensitive suites
-#      (engine, buffer pool, thread pool, runtime, concurrency).
+#      (engine, buffer pool, thread pool, runtime, concurrency, and the
+#      work counters checked across thread counts).
 # Each sanitizer gets its own build tree so switching is incremental.
 #
 # Usage: scripts/check_sanitizers.sh [address|thread|undefined ...]
@@ -17,7 +18,7 @@ SANITIZERS=("$@")
 
 # TSan over the whole suite is slow; restrict it to the suites that
 # exercise cross-thread engine/runtime/pool state.
-TSAN_FILTER='Engine|BufferPool|ThreadPool|TaskGroup|Runtime|Concurrency|Fault|DifferentialFuzz|Service|Coord|Incr'
+TSAN_FILTER='Engine|BufferPool|ThreadPool|TaskGroup|Runtime|Concurrency|Fault|DifferentialFuzz|Service|Coord|Incr|WorkCounters'
 
 for san in "${SANITIZERS[@]}"; do
   case "$san" in

@@ -13,7 +13,10 @@ struct LevelStats {
   std::uint64_t windows = 0;         // current windows formed
   std::uint64_t owned_pages = 0;     // pages charged to this level's budget
   std::uint64_t borrowed_pages = 0;  // pages shared with ancestor windows
-  std::uint64_t degraded_windows = 0;  // windows split under frame pressure
+  std::uint64_t degraded_windows = 0;  // re-dispatches under frame pressure
+  /// Last level only: the most owned frames its runs held at once, bounded
+  /// by the level's budget except for a lone oversize run.
+  std::uint64_t max_frames_in_flight = 0;
 };
 
 /// Counters of one engine run.

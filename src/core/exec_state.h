@@ -76,6 +76,15 @@ struct ExecContext {
   std::vector<LevelState> level;        // indexed by level
   std::vector<LevelStats> level_stats;  // indexed by level
 
+  /// True when `pid` is pinned by the current window of a level above `l`
+  /// (such a page costs level `l` no frame).
+  bool PinnedByAncestor(PageId pid, std::uint8_t l) const {
+    for (std::uint8_t a = 0; a < l; ++a) {
+      if (level[a].has_window && level[a].window_pages.Test(pid)) return true;
+    }
+    return false;
+  }
+
   bool Cancelled() const {
     return cancel != nullptr && cancel->load(std::memory_order_relaxed);
   }

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <latch>
 #include <memory>
 
 #include "core/enumerator.h"
 #include "obs/metrics.h"
+#include "util/logging.h"
 
 namespace dualsim {
 namespace {
@@ -151,81 +151,94 @@ void MatchPass::RunInternalChunk(std::size_t g, std::size_t begin,
   FlushTaskMetrics(counters, /*internal=*/true);
 }
 
+struct MatchPass::Run {
+  std::vector<PageId> pages;
+  std::vector<const std::byte*> data;
+  std::size_t owned = 0;  // frames charged to the gate
+  std::atomic<std::size_t> remaining{0};
+  std::atomic<bool> starved{false};
+  std::atomic<bool> fatal{false};
+};
+
 void MatchPass::ProcessLastLevelWindow(std::uint8_t l,
-                                       const std::vector<PageId>& pages,
-                                       std::vector<PageId>* starved) {
-  // Split the (ascending) window page list into runs.
-  struct Run {
-    std::vector<PageId> pages;
-    std::vector<const std::byte*> data;
-    std::atomic<std::size_t> remaining{0};
-    std::atomic<bool> starved{false};
-    std::atomic<bool> fatal{false};
-  };
-  std::vector<std::unique_ptr<Run>> runs;
-  for (std::size_t i = 0; i < pages.size();) {
-    auto run = std::make_unique<Run>();
+                                       const std::vector<PageId>& pages) {
+  // Split the (ascending) window page list into runs and stream each one
+  // through the gate as soon as its frames are free.
+  for (std::size_t i = 0; i < pages.size() && !ctx_.ShouldStop();) {
+    auto run = std::make_shared<Run>();
     run->pages.push_back(pages[i]);
     while (i + 1 < pages.size() && pages[i + 1] == pages[i] + 1 &&
            ctx_.disk->SpansBeyond(pages[i])) {
       run->pages.push_back(pages[++i]);
     }
     ++i;
-    run->data.resize(run->pages.size());
+    run->data.assign(run->pages.size(), nullptr);
     run->remaining.store(run->pages.size());
-    runs.push_back(std::move(run));
-  }
-
-  // `pages` is the concatenation of the runs' page lists in order; map the
-  // flat PinMany index back to (run, offset) so the whole window goes to
-  // the backend as one batched submit.
-  std::vector<std::pair<Run*, std::size_t>> slots;
-  slots.reserve(pages.size());
-  for (auto& run_ptr : runs) {
-    for (std::size_t k = 0; k < run_ptr->pages.size(); ++k) {
-      slots.emplace_back(run_ptr.get(), k);
+    for (PageId pid : run->pages) {
+      if (!ctx_.PinnedByAncestor(pid, l)) ++run->owned;
     }
-  }
-
-  std::latch done(static_cast<std::ptrdiff_t>(runs.size()));
-  ctx_.pool->PinMany(pages, [this, l, &slots, &done](std::size_t i, Status s,
-                                                     const std::byte* data) {
-    auto [run, k] = slots[i];
-    if (!s.ok()) {
-      // Failed pins hold no frame; nothing to unpin. Starvation is
-      // recoverable (the scheduler re-dispatches the run in a smaller
-      // window); anything else is fatal for the whole run.
-      if (s.code() == StatusCode::kResourceExhausted) {
-        run->starved.store(true, std::memory_order_relaxed);
-      } else {
-        run->fatal.store(true, std::memory_order_relaxed);
-        ctx_.SetError(s);
-      }
-    } else {
-      run->data[k] = data;
-    }
-    if (run->remaining.fetch_sub(1) == 1) {
-      ctx_.tasks->Run([this, l, run, &done] {
-        const bool skip = run->starved.load(std::memory_order_relaxed) ||
-                          run->fatal.load(std::memory_order_relaxed) ||
-                          ctx_.ShouldStop();
-        if (!skip) EnumerateLastLevelRun(l, run->data);
-        for (std::size_t j = 0; j < run->pages.size(); ++j) {
-          if (run->data[j] != nullptr) ctx_.pool->Unpin(run->pages[j]);
+    AdmitRun(l, run->owned);
+    ctx_.pool->PinMany(run->pages, [this, l, run](std::size_t k, Status s,
+                                                  const std::byte* data) {
+      if (!s.ok()) {
+        // Failed pins hold no frame; nothing to unpin. Starvation is
+        // recoverable (the drain hands the run back for re-dispatch);
+        // anything else is fatal for the whole run.
+        if (s.code() == StatusCode::kResourceExhausted) {
+          run->starved.store(true, std::memory_order_relaxed);
+        } else {
+          run->fatal.store(true, std::memory_order_relaxed);
+          ctx_.SetError(s);
         }
-        done.count_down();
-      });
-    }
-  });
-  done.wait();
-  if (starved != nullptr) {
-    for (const auto& run : runs) {
-      if (run->starved.load(std::memory_order_relaxed) &&
-          !run->fatal.load(std::memory_order_relaxed)) {
-        starved->insert(starved->end(), run->pages.begin(), run->pages.end());
+      } else {
+        run->data[k] = data;
       }
-    }
+      if (run->remaining.fetch_sub(1) == 1) {
+        ctx_.tasks->Run([this, l, run] { FinishRun(l, *run); });
+      }
+    });
   }
+}
+
+void MatchPass::AdmitRun(std::uint8_t l, std::size_t owned) {
+  const std::size_t budget = ctx_.level[l].budget;
+  std::unique_lock<std::mutex> lock(gate_mutex_);
+  gate_cv_.wait(lock, [&] {
+    return gate_frames_ == 0 || gate_frames_ + owned <= budget;
+  });
+  gate_frames_ += owned;
+  ++gate_runs_;
+  DS_CHECK(gate_frames_ <= budget || gate_frames_ == owned);
+  LevelStats& stats = ctx_.level_stats[l];
+  stats.max_frames_in_flight =
+      std::max<std::uint64_t>(stats.max_frames_in_flight, gate_frames_);
+}
+
+void MatchPass::FinishRun(std::uint8_t l, Run& run) {
+  const bool starved = run.starved.load(std::memory_order_relaxed);
+  const bool fatal = run.fatal.load(std::memory_order_relaxed);
+  if (!starved && !fatal && !ctx_.ShouldStop()) {
+    EnumerateLastLevelRun(l, run.data);
+  }
+  for (std::size_t j = 0; j < run.pages.size(); ++j) {
+    if (run.data[j] != nullptr) ctx_.pool->Unpin(run.pages[j]);
+  }
+  std::lock_guard<std::mutex> lock(gate_mutex_);
+  if (starved && !fatal) {
+    starved_.insert(starved_.end(), run.pages.begin(), run.pages.end());
+  }
+  gate_frames_ -= run.owned;
+  --gate_runs_;
+  gate_cv_.notify_all();
+}
+
+std::vector<PageId> MatchPass::DrainLastLevel() {
+  std::unique_lock<std::mutex> lock(gate_mutex_);
+  gate_cv_.wait(lock, [this] { return gate_runs_ == 0; });
+  std::vector<PageId> starved;
+  starved.swap(starved_);
+  std::sort(starved.begin(), starved.end());
+  return starved;
 }
 
 void MatchPass::EnumerateLastLevelRun(

@@ -104,15 +104,6 @@ Status WindowScheduler::Execute() {
   return result;
 }
 
-bool WindowScheduler::PinnedByAncestor(PageId pid, std::uint8_t l) const {
-  for (std::uint8_t a = 0; a < l; ++a) {
-    if (ctx_.level[a].has_window && ctx_.level[a].window_pages.Test(pid)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void WindowScheduler::ProcessLevel(std::uint8_t l) {
   LevelState& st = ctx_.level[l];
   const PageId num_pages = ctx_.disk->num_pages();
@@ -163,13 +154,13 @@ void WindowScheduler::ProcessLevel(std::uint8_t l) {
     while (next <= hi && next < merged.size()) {
       const PageId pid = static_cast<PageId>(next);
       if (!st.window_pages.Test(pid)) {
-        const bool borrowed = PinnedByAncestor(pid, l);
+        const bool borrowed = ctx_.PinnedByAncestor(pid, l);
         if (!borrowed && owned >= st.budget) break;
         add_page(pid, borrowed);
         for (PageId cont = pid; ctx_.disk->SpansBeyond(cont);) {
           ++cont;
           if (!st.window_pages.Test(cont)) {
-            add_page(cont, PinnedByAncestor(cont, l));
+            add_page(cont, ctx_.PinnedByAncestor(cont, l));
           }
         }
       }
@@ -177,6 +168,17 @@ void WindowScheduler::ProcessLevel(std::uint8_t l) {
     }
     if (window_list.empty()) break;
     DispatchWindow(l, window_list, /*attempt=*/0);
+  }
+  if (IsStreamed(l)) DrainLastLevel(l);
+}
+
+void WindowScheduler::DrainLastLevel(std::uint8_t l) {
+  // Every round re-dispatches the previous round's starved runs, so round
+  // `attempt` drains the runs dispatched at that attempt.
+  for (int attempt = 0;; ++attempt) {
+    const std::vector<PageId> starved = match_.DrainLastLevel();
+    if (starved.empty()) return;
+    DegradeAndRetry(l, starved, attempt);
   }
 }
 
@@ -194,12 +196,11 @@ void WindowScheduler::DispatchWindow(std::uint8_t l,
   Metrics().window_pages->Record(pages.size());
   st.has_window = true;
 
-  if (l + 1 == ctx_.levels && ctx_.levels > 1) {
-    std::vector<PageId> starved;
-    match_.ProcessLastLevelWindow(l, pages, &starved);
+  if (IsStreamed(l)) {
+    // Starved runs come back from the drain at the end of ProcessLevel.
+    match_.ProcessLastLevelWindow(l, pages);
     st.has_window = false;
     NotifyProgress();
-    if (!starved.empty()) DegradeAndRetry(l, starved, attempt);
     return;
   }
   const Status result = ProcessInnerWindow(l, pages);
@@ -218,11 +219,14 @@ void WindowScheduler::DegradeAndRetry(std::uint8_t l,
   if (ctx_.ShouldStop()) return;
   ++ctx_.level_stats[l].degraded_windows;
   Metrics().windows_degraded->Increment();
-  const std::size_t split = SplitPoint(pages);
+  // Streamed runs already pass the frame gate one by one, so a starved
+  // last-level page list has nothing left to shrink.
+  const std::size_t split = IsStreamed(l) ? 0 : SplitPoint(pages);
   if (split == 0) {
-    // Cannot shrink any further (a single page or one unbreakable
-    // multi-page adjacency chain). Back off — sibling sessions may be
-    // about to release frames — and retry a bounded number of times.
+    // Cannot shrink any further (a single page, one unbreakable
+    // multi-page adjacency chain, or streamed runs). Back off — sibling
+    // sessions may be about to release frames — and retry a bounded
+    // number of times.
     if (attempt >= kMaxStarvedAttempts) {
       ctx_.SetError(Status::ResourceExhausted(
           "level " + std::to_string(l) + " window of " +

@@ -15,14 +15,21 @@ namespace dualsim {
 /// vertex/page sequence maintenance (Algorithm 3), and asynchronous window
 /// loading. Hands finished windows to the MatchPass for enumeration.
 ///
-/// Graceful degradation: when pinning a window fails with
-/// ResourceExhausted (frame starvation — e.g. concurrent sessions hold
-/// the pool's unpinned frames while latency injection keeps reads in
-/// flight), the scheduler shrinks the window instead of aborting the run:
-/// the page list is split at a span-safe point (multi-page adjacency
-/// chains stay whole) and each half is dispatched as its own window.
-/// Disjoint windows over the same candidate pages enumerate the same
-/// embeddings, so degradation affects only performance, never answers.
+/// The last level is a stream: its windows go to the MatchPass without
+/// waiting, and their runs flow through a frame gate of the level's
+/// budget. The level's one barrier is the drain at the end of each
+/// ProcessLevel(last), i.e. once per parent window, where ancestor
+/// indexes and candidate bitmaps are about to change.
+///
+/// Graceful degradation: when pinning fails with ResourceExhausted (frame
+/// starvation — e.g. concurrent sessions hold the pool's unpinned frames
+/// while latency injection keeps reads in flight), the scheduler shrinks
+/// or retries the work instead of aborting the run. An inner window is
+/// split at a span-safe point (multi-page adjacency chains stay whole) and
+/// each half is dispatched as its own window. Starved last-level runs are
+/// collected at the drain and re-dispatched with backoff. Disjoint windows
+/// over the same candidate pages enumerate the same embeddings, so
+/// degradation affects only performance, never answers.
 class WindowScheduler {
  public:
   /// `total_frames` is this run's frame quota minus the multi-page slack;
@@ -48,24 +55,34 @@ class WindowScheduler {
                                                       bool paper_allocation);
 
   /// Bounded blocking retries for a window that cannot shrink any further
-  /// before the run gives up with ResourceExhausted.
+  /// (or for starved last-level runs) before the run gives up with
+  /// ResourceExhausted.
   static constexpr int kMaxStarvedAttempts = 3;
 
  private:
-  /// True when `pid` is pinned by the current window of a level above `l`.
-  bool PinnedByAncestor(PageId pid, std::uint8_t l) const;
+  /// True when `l` is the last level of a multi-level plan, whose windows
+  /// stream through the MatchPass's frame gate.
+  bool IsStreamed(std::uint8_t l) const {
+    return l + 1 == ctx_.levels && ctx_.levels > 1;
+  }
 
   /// The window loop for level `l`.
   void ProcessLevel(std::uint8_t l);
 
+  /// The last level's barrier: drains the stream and sends starved runs
+  /// through DegradeAndRetry until none remain or the run stops.
+  void DrainLastLevel(std::uint8_t l);
+
   /// Installs `pages` as level `l`'s current window (bitmap, min/max) and
-  /// runs it; on frame starvation, degrades via DegradeAndRetry.
+  /// runs it; an inner window degrades via DegradeAndRetry on frame
+  /// starvation, a last-level window is handed to the stream.
   void DispatchWindow(std::uint8_t l, const std::vector<PageId>& pages,
                       int attempt);
 
-  /// Shrink-and-continue: splits a starved window span-safely and
-  /// re-dispatches the halves; an unsplittable window is retried with
-  /// backoff up to kMaxStarvedAttempts before failing the run.
+  /// Shrink-and-continue: splits a starved inner window span-safely and
+  /// re-dispatches the halves; an unsplittable window, or the starved
+  /// pages of the last level, is retried with backoff up to
+  /// kMaxStarvedAttempts before failing the run.
   void DegradeAndRetry(std::uint8_t l, const std::vector<PageId>& pages,
                        int attempt);
 
@@ -86,7 +103,8 @@ class WindowScheduler {
   void ClearChildCandidates(std::uint8_t l, std::size_t g);
 
   /// Reports the running embedding count to ctx_.progress (if set). Called
-  /// from the scheduling thread as windows retire, so calls are serial.
+  /// from the scheduling thread as inner windows retire and last-level
+  /// windows are dispatched, so calls are serial.
   void NotifyProgress();
 
   ExecContext& ctx_;

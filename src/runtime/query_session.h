@@ -45,8 +45,9 @@ struct SessionOptions {
   /// tracing. No-op under DUALSIM_NO_METRICS.
   obs::TraceContext* trace = nullptr;
   /// Optional progress sink: invoked serially from the scheduling thread
-  /// as enumeration windows retire, with the monotone running embedding
-  /// count. Empty disables progress reporting.
+  /// as inner windows retire and last-level windows are dispatched, with
+  /// the monotone running embedding count. Empty disables progress
+  /// reporting.
   ProgressFn progress;
   /// Optional per-embedding veto (partition-scoped workers report only
   /// embeddings touching their partition). When set, every full embedding

@@ -13,7 +13,10 @@
 #include "obs/metrics.h"
 #include "query/queries.h"
 #include "query/symmetry_breaking.h"
+#include "runtime/query_session.h"
+#include "runtime/runtime.h"
 #include "storage/disk_graph.h"
+#include "storage/fault_injection.h"
 #include "testkit/metrics_util.h"
 
 namespace dualsim {
@@ -31,12 +34,14 @@ class EngineTestBase : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  std::unique_ptr<DiskGraph> BuildDisk(const Graph& ordered,
-                                       std::size_t page_size = 512) {
+  std::unique_ptr<DiskGraph> BuildDisk(
+      const Graph& ordered, std::size_t page_size = 512,
+      std::shared_ptr<FaultInjector> injector = nullptr) {
     const std::string path = (dir_ / "g.db").string();
     Status s = BuildDiskGraph(ordered, path, page_size);
     EXPECT_TRUE(s.ok()) << s.ToString();
-    auto disk = DiskGraph::Open(path, /*bypass_os_cache=*/false);
+    auto disk = DiskGraph::Open(path, /*bypass_os_cache=*/false,
+                                std::move(injector));
     EXPECT_TRUE(disk.ok()) << disk.status().ToString();
     return std::move(*disk);
   }
@@ -410,6 +415,137 @@ TEST_F(EngineTestBase, LevelStatsAreConsistent) {
   EXPECT_LE(result->io.physical_reads,
             owned + result->level_stats[1].borrowed_pages +
                 result->level_stats[2].borrowed_pages);
+}
+
+// ---------------------------------------------------------------------------
+// The last-level stream: runs pass a frame gate of the level's budget and
+// are enumerated as they arrive; the only barrier is the drain once per
+// parent window, where starved runs are retried.
+// ---------------------------------------------------------------------------
+
+/// A triangle run on a 16-frame runtime with 2 threads: the last level
+/// gets 4 frames and level 0 the other 12, so once level 0's first window
+/// is pinned the pool has exactly 4 frames left for the last level.
+class EngineStreamTest : public EngineTestBase {
+ protected:
+  static constexpr std::size_t kFrames = 16;
+  static constexpr std::size_t kLevel0Frames = 12;
+
+  void Open(std::shared_ptr<FaultInjector> injector = nullptr) {
+    graph_ = ReorderByDegree(ErdosRenyi(400, 2400, 71));
+    disk_ = BuildDisk(graph_, /*page_size=*/512, std::move(injector));
+    ASSERT_EQ(disk_->MaxVertexPages(), 1u);
+    ASSERT_GT(disk_->num_pages(), kFrames + 8);
+    RuntimeOptions options;
+    options.num_frames = kFrames;
+    options.num_threads = 2;
+    runtime_ = std::make_unique<Runtime>(disk_.get(), options);
+    auto lease = runtime_->Admit(1, 0);
+    ASSERT_TRUE(lease.ok()) << lease.status().ToString();
+    pool_ = lease->pool();  // stable: an explicit frame count never regrows
+  }
+
+  Graph graph_;
+  std::unique_ptr<DiskGraph> disk_;
+  std::unique_ptr<Runtime> runtime_;
+  BufferPool* pool_ = nullptr;
+};
+
+TEST_F(EngineTestBase, LastLevelStreamStaysWithinItsFrameBudget) {
+  Graph g = ReorderByDegree(ErdosRenyi(300, 1800, 67));
+  auto injector = std::make_shared<FaultInjector>();
+  // Slow reads keep runs in flight, so the gate fills up.
+  injector->DelayReads(FaultInjector::kAnyPage, /*latency_us=*/100);
+  auto disk = BuildDisk(g, /*page_size=*/512, injector);
+  ASSERT_EQ(disk->MaxVertexPages(), 1u);  // no oversize run
+  EngineOptions options;
+  options.buffer_fraction = 0.15;
+  options.num_threads = 2;
+  DualSimEngine engine(disk.get(), options);
+  const QueryGraph q = MakePaperQuery(PaperQuery::kQ4);
+  auto result = engine.Run(q);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->embeddings, CountOccurrences(g, q));
+  ASSERT_EQ(result->level_stats.size(), 3u);
+  const LevelStats& last = result->level_stats.back();
+  EXPECT_GT(last.windows, 1u);
+  EXPECT_GT(last.max_frames_in_flight, 0u);
+  EXPECT_LE(last.max_frames_in_flight, result->frames_per_level.back());
+  // Inner levels load whole windows; only the last level has a gate.
+  EXPECT_EQ(result->level_stats[0].max_frames_in_flight, 0u);
+  EXPECT_EQ(result->level_stats[1].max_frames_in_flight, 0u);
+}
+
+TEST_F(EngineStreamTest, StarvedRunsAreRetriedAfterTheDrain) {
+  Open();
+  // Pin the file's last 4 pages outside any lease: with level 0's first
+  // window pinned, every frame of the pool is taken, so the first
+  // last-level window's owned pages starve. The pins are released at the
+  // first progress report, i.e. after that window was dispatched.
+  std::vector<PageId> held;
+  for (PageId pid = disk_->num_pages() - 4; pid < disk_->num_pages(); ++pid) {
+    const std::byte* data = nullptr;
+    ASSERT_TRUE(pool_->Pin(pid, &data).ok());
+    held.push_back(pid);
+  }
+  SessionOptions options;
+  options.progress = [&](std::uint64_t) {
+    for (PageId pid : held) pool_->Unpin(pid);
+    held.clear();
+  };
+  QuerySession session(runtime_.get(), options);
+  const QueryGraph q = MakePaperQuery(PaperQuery::kQ1);
+  auto result = session.Run(q);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->embeddings, CountOccurrences(graph_, q));
+  ASSERT_EQ(result->frames_per_level.size(), 2u);
+  EXPECT_EQ(result->frames_per_level[0], kLevel0Frames);
+  EXPECT_EQ(result->level_stats[0].degraded_windows, 0u);
+  EXPECT_GT(result->level_stats[1].degraded_windows, 0u);
+  EXPECT_TRUE(held.empty());
+  EXPECT_EQ(pool_->AvailableFrames(), kFrames);
+}
+
+TEST_F(EngineStreamTest, CancelMidStreamReleasesEveryFrame) {
+  auto injector = std::make_shared<FaultInjector>();
+  injector->DelayReads(FaultInjector::kAnyPage, /*latency_us=*/2000);
+  Open(injector);
+  QuerySession* victim = nullptr;
+  int reports = 0;
+  std::size_t available_at_cancel = kFrames;
+  SessionOptions options;
+  // Cancel once the second last-level window is dispatched; its runs'
+  // reads are then still in flight.
+  options.progress = [&](std::uint64_t) {
+    if (++reports != 2) return;
+    available_at_cancel = pool_->AvailableFrames();
+    victim->Cancel();
+  };
+  QuerySession session(runtime_.get(), options);
+  victim = &session;
+  auto result = session.Run(MakePaperQuery(PaperQuery::kQ1));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+      << result.status().ToString();
+  // Last-level runs held frames beside level 0's window when it landed.
+  EXPECT_LT(available_at_cancel, kFrames - kLevel0Frames);
+  EXPECT_EQ(pool_->AvailableFrames(), kFrames);
+}
+
+TEST_F(EngineStreamTest, PermanentReadFaultMidStreamIsTyped) {
+  auto injector = std::make_shared<FaultInjector>();
+  injector->DelayReads(FaultInjector::kAnyPage, /*latency_us=*/500);
+  // Level 0's first window reads 12 pages; every read after the 14th
+  // fails, retries included, so the fault lands in the last level.
+  injector->FailRead(FaultInjector::kAnyPage, /*nth=*/kLevel0Frames + 3,
+                     FaultInjector::kForever);
+  Open(injector);
+  QuerySession session(runtime_.get());
+  auto result = session.Run(MakePaperQuery(PaperQuery::kQ1));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIOError)
+      << result.status().ToString();
+  EXPECT_EQ(pool_->AvailableFrames(), kFrames);
 }
 
 // ---------------------------------------------------------------------------
