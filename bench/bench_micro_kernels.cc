@@ -41,7 +41,7 @@ std::vector<VertexId> SortedRandom(std::size_t n, std::uint64_t seed,
 //  - skewed:   |small| fixed at 256, |large| = 256 * ratio. Galloping's
 //    home turf; the documented >= 2x class is ratio >= 64, where galloping
 //    beats the scalar merge by an order of magnitude.
-//  - dense:    |a| == |b|, ~50% dense. The bitmap kernel's home turf.
+//  - dense:    |a| == |b|, ~50% dense.
 //
 // Names are load-bearing: scripts/check_bench_regression.py compares them
 // against bench/baselines/BENCH_micro_kernels.json, normalized by
@@ -106,8 +106,6 @@ void BM_IntersectKernelDense(benchmark::State& state, KernelFn fn,
   BENCHMARK_CAPTURE(cls, galloping, intersect_internal::GallopKernel,       \
                     false)                                                  \
       ->Range(lo, hi);                                                      \
-  BENCHMARK_CAPTURE(cls, bitmap, intersect_internal::BitmapKernel, false)   \
-      ->Range(lo, hi);                                                      \
   BENCHMARK_CAPTURE(cls, avx2, intersect_internal::Avx2Kernel, true)        \
       ->Range(lo, hi)
 
@@ -127,7 +125,7 @@ void BM_IntersectKernelAutoSkewed(benchmark::State& state) {
   auto b = SortedRandom(small_n * ratio, 1, universe);
   std::vector<VertexId> out;
   for (auto _ : state) {
-    Intersect2With(IntersectKernel::kAuto, a, b, &out);
+    Intersect2(a, b, &out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -26,14 +26,6 @@
 ///       count only). When a metrics path is given (or DUALSIM_METRICS_OUT
 ///       is set) the process-wide MetricsSnapshot is written there as JSON.
 ///
-///   dualsim_cli intersect-kernels [--check <name>]
-///       List the intersection kernels and their availability on this
-///       build + CPU, plus the process default (which reflects
-///       DUALSIM_FORCE_INTERSECT_KERNEL). With --check, exit 0 when
-///       <name> is usable and 7 (kIntersectKernelExitCode) when it is
-///       not — the avx2-off CI lane uses this. "query" accepts
-///       --intersect-kernel=<auto|scalar|galloping|avx2|bitmap>.
-///
 /// <query> is "q1".."q5", a named shape ("triangle", "cycle5", ...), or an
 /// edge list like "0-1,1-2,2-0". Vertex labels attach either inline
 /// ("0-1,1-2,2-0,0=3,1=3") or as a suffix naming every vertex
@@ -48,7 +40,6 @@
 
 #include "core/cost_model.h"
 #include "core/engine.h"
-#include "core/intersect.h"
 #include "graph/edge_list_io.h"
 #include "obs/metrics.h"
 #include "query/isomorphism.h"
@@ -240,71 +231,13 @@ int CmdExplain(int argc, char** argv) {
   return 0;
 }
 
-/// Pulls --intersect-kernel= out of argv (compacting the rest in place) so
-/// the positional arguments keep their indices.
-int ExtractKernelFlag(int argc, char** argv, std::string* intersect_kernel) {
-  int out = 0;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--intersect-kernel=", 0) == 0) {
-      *intersect_kernel =
-          arg.substr(std::string("--intersect-kernel=").size());
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  return out;
-}
-
-int CmdIntersectKernels(int argc, char** argv) {
-  const std::string check =
-      (argc > 3 && std::string(argv[2]) == "--check") ? argv[3] : "";
-  const bool avx2 = Avx2Available();
-  if (check.empty()) {
-    std::printf("scalar      available (portable oracle)\n");
-    std::printf("galloping   available\n");
-    std::printf("bitmap      available\n");
-    std::printf("avx2        %s\n",
-                avx2 ? "available" : Avx2UnavailableReason().c_str());
-    auto def = DefaultIntersectKernel();
-    if (!def.ok()) {
-      // A typo'd or forced-but-unavailable DUALSIM_FORCE_INTERSECT_KERNEL
-      // fails loudly with the typed code instead of listing a default the
-      // process would refuse to run with.
-      std::fprintf(stderr, "error: %s\n", def.status().ToString().c_str());
-      return service::kIntersectKernelExitCode;
-    }
-    std::printf("default     -> %s\n", IntersectKernelName(*def));
-    return 0;
-  }
-  auto kernel = ParseIntersectKernel(check);
-  if (!kernel.ok()) return Fail(kernel.status());
-  if (Status s = SetIntersectKernel(*kernel); !s.ok()) {
-    std::fprintf(stderr, "intersect kernel '%s' unavailable: %s\n",
-                 check.c_str(), s.ToString().c_str());
-    return service::kIntersectKernelExitCode;
-  }
-  std::printf("%s\n", IntersectKernelName(ConfiguredIntersectKernel()));
-  return 0;
-}
-
 int CmdQuery(int argc, char** argv) {
   EngineOptions options;
-  std::string intersect_kernel;
-  argc = ExtractKernelFlag(argc, argv, &intersect_kernel);
   if (argc < 4) {
     std::fprintf(stderr,
                  "usage: query <db_path> <query> [buffer_fraction] "
-                 "[max_print] [metrics.json] [--intersect-kernel=<name>]\n");
+                 "[max_print] [metrics.json]\n");
     return 2;
-  }
-  if (!intersect_kernel.empty()) {
-    auto kernel = ParseIntersectKernel(intersect_kernel);
-    if (!kernel.ok()) return Fail(kernel.status());
-    if (Status s = SetIntersectKernel(*kernel); !s.ok()) {
-      std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-      return service::kIntersectKernelExitCode;
-    }
   }
   auto disk = service::OpenServedGraph(argv[2]);
   if (!disk.ok()) return FailGraphLoad(disk.status());
@@ -335,8 +268,6 @@ int CmdQuery(int argc, char** argv) {
 
   std::printf("embeddings:    %llu\n",
               static_cast<unsigned long long>(result->embeddings));
-  std::printf("intersect:     %s\n",
-              IntersectKernelName(ConfiguredIntersectKernel()));
   std::printf("elapsed:       %.3fs (prepare %.3fms)\n",
               result->elapsed_seconds, result->prepare_millis);
   std::printf("page reads:    %llu physical, %llu hits (%zu frames)\n",
@@ -374,9 +305,7 @@ int main(int argc, char** argv) {
   if (command == "verify") return CmdVerify(argc, argv);
   if (command == "explain") return CmdExplain(argc, argv);
   if (command == "query") return CmdQuery(argc, argv);
-  if (command == "intersect-kernels") return CmdIntersectKernels(argc, argv);
   std::fprintf(stderr,
-               "usage: dualsim_cli <build|stats|verify|explain|query|"
-               "intersect-kernels> ...\n");
+               "usage: dualsim_cli <build|stats|verify|explain|query> ...\n");
   return 2;
 }

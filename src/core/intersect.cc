@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
+#include <string>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -70,171 +69,53 @@ std::size_t GallopKernel(const VertexId* a, std::size_t na, const VertexId* b,
   return n;
 }
 
-std::size_t BitmapKernel(const VertexId* a, std::size_t na, const VertexId* b,
-                         std::size_t nb, VertexId* out) {
-  if (na == 0 || nb == 0) return 0;
-  // Trim both lists to the overlap window [lo_val, hi_val]; everything
-  // outside it cannot intersect.
-  const VertexId lo_val = std::max(a[0], b[0]);
-  const VertexId hi_val = std::min(a[na - 1], b[nb - 1]);
-  if (hi_val < lo_val) return 0;
-  const VertexId* a_lo = std::lower_bound(a, a + na, lo_val);
-  const VertexId* a_hi = std::upper_bound(a_lo, a + na, hi_val);
-  const VertexId* b_lo = std::lower_bound(b, b + nb, lo_val);
-  const VertexId* b_hi = std::upper_bound(b_lo, b + nb, hi_val);
-
-  const std::size_t span = static_cast<std::size_t>(hi_val - lo_val) + 1;
-  const std::size_t words = (span + 63) / 64;
-  thread_local std::vector<std::uint64_t> bits;
-  if (bits.size() < words) bits.resize(words);
-  std::memset(bits.data(), 0, words * sizeof(std::uint64_t));
-
-  for (const VertexId* p = a_lo; p != a_hi; ++p) {
-    const std::size_t off = *p - lo_val;
-    bits[off >> 6] |= std::uint64_t{1} << (off & 63);
-  }
-  std::size_t n = 0;
-  for (const VertexId* p = b_lo; p != b_hi; ++p) {
-    const std::size_t off = *p - lo_val;
-    if (bits[off >> 6] & (std::uint64_t{1} << (off & 63))) out[n++] = *p;
-  }
-  return n;
-}
-
-namespace {
-
-/// DUALSIM_FAKE_NO_AVX2 resolved once and cached (getenv is too slow for
-/// the per-intersection hot path); ResetConfigForTesting re-reads it.
-std::atomic<int> g_fake_no_avx2{-1};
-std::atomic<int> g_configured{-1};
-
-bool FakeNoAvx2() {
-  int v = g_fake_no_avx2.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* env = std::getenv("DUALSIM_FAKE_NO_AVX2");
-    v = (env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0) ? 1
-                                                                         : 0;
-    g_fake_no_avx2.store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
-}
-
-}  // namespace
-
 IntersectKernel ChooseKernel(std::span<const VertexId> a,
-                             std::span<const VertexId> b) {
+                             std::span<const VertexId> b, bool avx2) {
   const std::size_t smaller = std::min(a.size(), b.size());
   const std::size_t larger = std::max(a.size(), b.size());
   if (smaller == 0) return IntersectKernel::kScalar;
   // Heavy size skew: galloping's O(n log(m/n)) beats any linear pass.
   if (larger >= smaller * kGallopRatio) return IntersectKernel::kGalloping;
-  // Comparable sizes: block-compare when the CPU has it.
-  if (smaller >= kSimdMinSize && Avx2Available()) return IntersectKernel::kAvx2;
-  // Dense overlap window on a portable build: branch-free bitmap probing.
-  const VertexId lo = std::max(a.front(), b.front());
-  const VertexId hi = std::min(a.back(), b.back());
-  if (hi > lo) {
-    const std::size_t span = static_cast<std::size_t>(hi - lo) + 1;
-    if (span <= kBitmapMaxSpan &&
-        span <= kBitmapDensityFactor * (a.size() + b.size())) {
-      return IntersectKernel::kBitmap;
-    }
-  }
+  // Comparable sizes: block-compare when the CPU has it and the smaller
+  // list fills at least one 8-lane block.
+  if (avx2 && smaller >= kSimdMinSize) return IntersectKernel::kAvx2;
   return IntersectKernel::kScalar;
 }
 
-void ResetConfigForTesting() {
-  g_fake_no_avx2.store(-1, std::memory_order_relaxed);
-  g_configured.store(-1, std::memory_order_relaxed);
+namespace {
+
+/// The kernel ScopedKernelForTesting forces, or -1 for the dispatcher.
+std::atomic<int> g_forced_kernel{-1};
+
+}  // namespace
+
+ScopedKernelForTesting::ScopedKernelForTesting(IntersectKernel kernel) {
+  DS_CHECK(kernel != IntersectKernel::kAvx2 || Avx2Available());
+  g_forced_kernel.store(static_cast<int>(kernel), std::memory_order_relaxed);
+}
+
+ScopedKernelForTesting::~ScopedKernelForTesting() {
+  g_forced_kernel.store(-1, std::memory_order_relaxed);
 }
 
 }  // namespace intersect_internal
 
-StatusOr<IntersectKernel> ParseIntersectKernel(std::string_view name) {
-  if (name == "auto") return IntersectKernel::kAuto;
-  if (name == "scalar") return IntersectKernel::kScalar;
-  if (name == "galloping") return IntersectKernel::kGalloping;
-  if (name == "avx2") return IntersectKernel::kAvx2;
-  if (name == "bitmap") return IntersectKernel::kBitmap;
-  return Status::InvalidArgument(
-      "unknown intersect kernel '" + std::string(name) +
-      "' (want auto, scalar, galloping, avx2, or bitmap)");
-}
-
 const char* IntersectKernelName(IntersectKernel kernel) {
   switch (kernel) {
-    case IntersectKernel::kAuto:
-      return "auto";
     case IntersectKernel::kScalar:
       return "scalar";
     case IntersectKernel::kGalloping:
       return "galloping";
     case IntersectKernel::kAvx2:
       return "avx2";
-    case IntersectKernel::kBitmap:
-      return "bitmap";
   }
   return "unknown";
 }
 
 bool Avx2Available() {
-  return intersect_internal::Avx2CompiledIn() &&
-         intersect_internal::Avx2CpuSupported() &&
-         !intersect_internal::FakeNoAvx2();
-}
-
-std::string Avx2UnavailableReason() {
-  if (!intersect_internal::Avx2CompiledIn()) {
-    return "not compiled in (build with -DDUALSIM_WITH_AVX2=ON)";
-  }
-  if (!intersect_internal::Avx2CpuSupported()) {
-    return "CPU does not report AVX2";
-  }
-  if (intersect_internal::FakeNoAvx2()) {
-    return "faked off (DUALSIM_FAKE_NO_AVX2 is set)";
-  }
-  return "";
-}
-
-StatusOr<IntersectKernel> DefaultIntersectKernel() {
-  const char* env = std::getenv("DUALSIM_FORCE_INTERSECT_KERNEL");
-  if (env == nullptr || env[0] == '\0') return IntersectKernel::kAuto;
-  auto kernel = ParseIntersectKernel(env);
-  if (!kernel.ok()) {
-    return Status::InvalidArgument("DUALSIM_FORCE_INTERSECT_KERNEL: " +
-                                   kernel.status().message());
-  }
-  if (*kernel == IntersectKernel::kAvx2 && !Avx2Available()) {
-    return Status::Unimplemented(
-        "DUALSIM_FORCE_INTERSECT_KERNEL=avx2: " + Avx2UnavailableReason());
-  }
-  return kernel;
-}
-
-Status SetIntersectKernel(IntersectKernel kernel) {
-  if (kernel == IntersectKernel::kAvx2 && !Avx2Available()) {
-    return Status::Unimplemented("intersect kernel avx2 unavailable: " +
-                                 Avx2UnavailableReason());
-  }
-  intersect_internal::g_configured.store(static_cast<int>(kernel),
-                                         std::memory_order_relaxed);
-  obs::Metrics().SetLabel("intersect.kernel", IntersectKernelName(kernel));
-  return Status::OK();
-}
-
-IntersectKernel ConfiguredIntersectKernel() {
-  int v = intersect_internal::g_configured.load(std::memory_order_relaxed);
-  if (v < 0) {
-    auto kernel = DefaultIntersectKernel();
-    // A typo'd or unavailable forced kernel must fail loudly, never
-    // silently fall back — a CI lane forcing "avx2" on a machine without
-    // it would otherwise test the wrong kernel.
-    DS_CHECK(kernel.ok()) << kernel.status().ToString();
-    v = static_cast<int>(*kernel);
-    intersect_internal::g_configured.store(v, std::memory_order_relaxed);
-    obs::Metrics().SetLabel("intersect.kernel", IntersectKernelName(*kernel));
-  }
-  return static_cast<IntersectKernel>(v);
+  static const bool available = intersect_internal::Avx2CompiledIn() &&
+                                intersect_internal::Avx2CpuSupported();
+  return available;
 }
 
 namespace {
@@ -244,7 +125,7 @@ using intersect_internal::kOutSlack;
 struct IntersectMetrics {
   obs::Counter* calls;
   obs::Counter* many_calls;
-  obs::Counter* kernel_calls[5];  // indexed by IntersectKernel; [0] unused
+  obs::Counter* kernel_calls[3];  // indexed by IntersectKernel
   obs::Histogram* smaller_size;
   obs::Histogram* larger_size;
   obs::Histogram* selectivity_pct;
@@ -256,10 +137,9 @@ IntersectMetrics& IMetrics() {
     IntersectMetrics r;
     r.calls = obs::Metrics().GetCounter("intersect.calls");
     r.many_calls = obs::Metrics().GetCounter("intersect.many_calls");
-    for (IntersectKernel k :
-         {IntersectKernel::kAuto, IntersectKernel::kScalar,
-          IntersectKernel::kGalloping, IntersectKernel::kAvx2,
-          IntersectKernel::kBitmap}) {
+    for (IntersectKernel k : {IntersectKernel::kScalar,
+                              IntersectKernel::kGalloping,
+                              IntersectKernel::kAvx2}) {
       r.kernel_calls[static_cast<int>(k)] = obs::Metrics().GetCounter(
           std::string("intersect.") + IntersectKernelName(k) + ".calls");
     }
@@ -268,6 +148,9 @@ IntersectMetrics& IMetrics() {
     r.selectivity_pct =
         obs::Metrics().GetHistogram("intersect.selectivity_pct");
     r.many_lists = obs::Metrics().GetHistogram("intersect.many_lists");
+    // Kept for snapshot readers that record the kernel policy; the
+    // per-call dispatcher is the only policy.
+    obs::Metrics().SetLabel("intersect.kernel", "auto");
     return r;
   }();
   return m;
@@ -285,31 +168,31 @@ std::size_t RunKernel(IntersectKernel kernel, std::span<const VertexId> a,
     case IntersectKernel::kAvx2:
       return intersect_internal::Avx2Kernel(a.data(), a.size(), b.data(),
                                             b.size(), out);
-    case IntersectKernel::kBitmap:
-      return intersect_internal::BitmapKernel(a.data(), a.size(), b.data(),
-                                              b.size(), out);
-    case IntersectKernel::kAuto:
-      break;
   }
-  DS_CHECK(false);  // kAuto resolved before RunKernel
+  DS_CHECK(false) << "unknown intersect kernel";
   return 0;
 }
 
-/// Shared 2-way path: dispatch, run into a thread-local scratch (the AVX2
-/// kernel stores whole 8-lane blocks, so the scratch carries kOutSlack
-/// spare lanes), then copy the exact result into `out`. Copy-from-scratch
-/// also makes aliasing safe: `out` may own the memory `a` or `b` views.
-void Intersect2Impl(IntersectKernel requested, std::span<const VertexId> a,
-                    std::span<const VertexId> b, std::vector<VertexId>* out) {
+}  // namespace
+
+/// Dispatch (unless a test forces a kernel), run into a thread-local
+/// scratch (the AVX2 kernel stores whole 8-lane blocks, so the scratch
+/// carries kOutSlack spare lanes), then copy the exact result into `out`.
+/// Copy-from-scratch also makes aliasing safe: `out` may own the memory
+/// `a` or `b` views.
+void Intersect2(std::span<const VertexId> a, std::span<const VertexId> b,
+                std::vector<VertexId>* out) {
   IntersectMetrics& m = IMetrics();
   m.calls->Increment();
   const std::size_t smaller = std::min(a.size(), b.size());
   m.smaller_size->Record(smaller);
   m.larger_size->Record(std::max(a.size(), b.size()));
   out->clear();
-  const IntersectKernel kernel = requested == IntersectKernel::kAuto
-                                     ? intersect_internal::ChooseKernel(a, b)
-                                     : requested;
+  const int forced =
+      intersect_internal::g_forced_kernel.load(std::memory_order_relaxed);
+  const IntersectKernel kernel =
+      forced < 0 ? intersect_internal::ChooseKernel(a, b, Avx2Available())
+                 : static_cast<IntersectKernel>(forced);
   DS_CHECK(kernel != IntersectKernel::kAvx2 || Avx2Available());
   // Record the kernel before the empty shortcut so the per-kernel counters
   // always sum to intersect.calls (ChooseKernel resolves empty to scalar).
@@ -327,9 +210,8 @@ void Intersect2Impl(IntersectKernel requested, std::span<const VertexId> a,
   out->assign(scratch.data(), scratch.data() + n);
 }
 
-void IntersectManyImpl(IntersectKernel kernel,
-                       std::span<const std::span<const VertexId>> lists,
-                       std::vector<VertexId>* out) {
+void IntersectMany(std::span<const std::span<const VertexId>> lists,
+                   std::vector<VertexId>* out) {
   out->clear();
   if (lists.empty()) return;
   IntersectMetrics& m = IMetrics();
@@ -351,44 +233,21 @@ void IntersectManyImpl(IntersectKernel kernel,
     return lists[x].size() < lists[y].size();
   });
   // No early-out when the smallest list is empty: the pairwise path below
-  // terminates immediately anyway, and funneling through Intersect2Impl
+  // terminates immediately anyway, and funneling through Intersect2
   // keeps intersect.calls == sum(intersect.<kernel>.calls).
   out->reserve(lists[order[0]].size());
   if (lists.size() == 2) {
-    Intersect2Impl(kernel, lists[order[0]], lists[order[1]], out);
+    Intersect2(lists[order[0]], lists[order[1]], out);
     return;
   }
   thread_local std::vector<VertexId> tmp;
   thread_local std::vector<VertexId> next;
-  Intersect2Impl(kernel, lists[order[0]], lists[order[1]], &tmp);
+  Intersect2(lists[order[0]], lists[order[1]], &tmp);
   for (std::size_t i = 2; i < lists.size() && !tmp.empty(); ++i) {
-    Intersect2Impl(kernel, tmp, lists[order[i]], &next);
+    Intersect2(tmp, lists[order[i]], &next);
     std::swap(tmp, next);
   }
   out->assign(tmp.begin(), tmp.end());
-}
-
-}  // namespace
-
-void Intersect2(std::span<const VertexId> a, std::span<const VertexId> b,
-                std::vector<VertexId>* out) {
-  Intersect2Impl(ConfiguredIntersectKernel(), a, b, out);
-}
-
-void Intersect2With(IntersectKernel kernel, std::span<const VertexId> a,
-                    std::span<const VertexId> b, std::vector<VertexId>* out) {
-  Intersect2Impl(kernel, a, b, out);
-}
-
-void IntersectMany(std::span<const std::span<const VertexId>> lists,
-                   std::vector<VertexId>* out) {
-  IntersectManyImpl(ConfiguredIntersectKernel(), lists, out);
-}
-
-void IntersectManyWith(IntersectKernel kernel,
-                       std::span<const std::span<const VertexId>> lists,
-                       std::vector<VertexId>* out) {
-  IntersectManyImpl(kernel, lists, out);
 }
 
 }  // namespace dualsim

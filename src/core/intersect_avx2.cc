@@ -1,13 +1,13 @@
 /// AVX2 leg of the intersection kernel family. This is the only TU built
-/// with -mavx2 (CMake sets it when DUALSIM_WITH_AVX2 is on), so the rest
-/// of the engine stays portable; Avx2Kernel is only reachable after the
-/// runtime CPU probe (Avx2Available) says yes, so a portable binary never
-/// executes an AVX2 instruction on a CPU without it.
+/// with -mavx2 (CMake sets it on x86-64 targets), so the rest of the
+/// engine stays portable; Avx2Kernel is only reachable after the runtime
+/// CPU probe (Avx2Available) says yes, so a binary never executes an AVX2
+/// instruction on a CPU without it. Other targets compile the stub below.
 
 #include "core/intersect.h"
 #include "util/logging.h"
 
-#ifdef DUALSIM_WITH_AVX2
+#ifdef __AVX2__
 #include <immintrin.h>
 #endif
 
@@ -22,7 +22,7 @@ bool Avx2CpuSupported() {
 #endif
 }
 
-#ifdef DUALSIM_WITH_AVX2
+#ifdef __AVX2__
 
 bool Avx2CompiledIn() { return true; }
 
@@ -99,7 +99,7 @@ std::size_t Avx2Kernel(const VertexId* a, std::size_t na, const VertexId* b,
   return n;
 }
 
-#else  // !DUALSIM_WITH_AVX2
+#else  // !__AVX2__
 
 bool Avx2CompiledIn() { return false; }
 
@@ -109,7 +109,7 @@ std::size_t Avx2Kernel(const VertexId*, std::size_t, const VertexId*,
   return 0;
 }
 
-#endif  // DUALSIM_WITH_AVX2
+#endif  // __AVX2__
 
 }  // namespace intersect_internal
 }  // namespace dualsim

@@ -89,9 +89,11 @@ inline constexpr std::size_t kCacheLine = 64;
 /// Per-thread shard assignment. The first kNumShards-1 threads each own a
 /// shard exclusively: a single writer needs no atomic RMW, so their hot
 /// path is a relaxed load + store (a plain add on x86). Later threads all
-/// share the last shard and fall back to fetch_add. Slots are never
-/// recycled on thread exit — the engine's writers are long-lived pool
-/// threads, and an overflow thread is merely slower, never wrong.
+/// share the last shard and fall back to fetch_add. Slots are not yet
+/// recycled on thread exit, so a process that starts more than
+/// kNumShards-1 threads over its life (one that builds runtime after
+/// runtime, say) puts every later writer on the shared shard: slower,
+/// never wrong (ROADMAP item 3 carries the fix).
 struct ThreadSlot {
   std::uint32_t shard;
   bool exclusive;

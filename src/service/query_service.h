@@ -46,15 +46,9 @@ namespace dualsim::service {
 
 /// Process exit code for a missing/unreadable graph database, shared by
 /// dualsim_cli and dualsim_serve (distinct from 1 = generic failure and
-/// 2 = usage error).
+/// 2 = usage error). Codes 6 (I/O backend) and 7 (intersection kernel)
+/// belonged to selection knobs that no longer exist; they are not reused.
 inline constexpr int kGraphLoadExitCode = 3;
-
-/// Exit code for "the requested intersection kernel is unavailable on
-/// this build/CPU" (dualsim_cli intersect-kernels [--check], the
-/// --intersect-kernel flag, DUALSIM_FORCE_INTERSECT_KERNEL). Distinct from
-/// generic failures so scripts can skip instead of fail, as the avx2-off
-/// CI lane does. (6 was the retired I/O-backend code; it is not reused.)
-inline constexpr int kIntersectKernelExitCode = 7;
 
 /// Exit code for "the graph database opened but failed verification"
 /// (dualsim_cli verify: adjacency/catalog cross-checks on the slotted

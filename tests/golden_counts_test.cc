@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <unistd.h>
 
@@ -33,10 +34,10 @@ struct GoldenCase {
   PaperQuery query;
   std::uint64_t golden;
   /// Which intersection kernel the engine is forced onto for this case
-  /// (kAuto = the adaptive dispatcher). Every kernel must reproduce the
+  /// (empty = the per-call dispatcher). Every kernel must reproduce the
   /// same pinned counts — the end-to-end leg of the differential harness
   /// in intersect_kernel_test.cc.
-  IntersectKernel kernel;
+  std::optional<IntersectKernel> kernel;
 };
 
 /// The fixture graphs, by id. Deterministic seeds; shapes chosen to cover
@@ -70,10 +71,10 @@ constexpr std::uint64_t kGolden[5][5] = {
 std::vector<GoldenCase> AllGoldenCases() {
   const char* names[] = {"ER", "RMat", "BA", "WS", "K12"};
   std::vector<GoldenCase> cases;
-  for (IntersectKernel kernel :
-       {IntersectKernel::kAuto, IntersectKernel::kScalar,
-        IntersectKernel::kGalloping, IntersectKernel::kAvx2,
-        IntersectKernel::kBitmap}) {
+  for (std::optional<IntersectKernel> kernel :
+       {std::optional<IntersectKernel>(), std::optional(IntersectKernel::kScalar),
+        std::optional(IntersectKernel::kGalloping),
+        std::optional(IntersectKernel::kAvx2)}) {
     for (int graph = 0; graph < 5; ++graph) {
       int qi = 0;
       for (PaperQuery pq : AllPaperQueries()) {
@@ -88,8 +89,8 @@ std::vector<GoldenCase> AllGoldenCases() {
 std::string GoldenName(const ::testing::TestParamInfo<GoldenCase>& info) {
   std::string name = std::string(info.param.graph_name) +
                      PaperQueryName(info.param.query);
-  if (info.param.kernel != IntersectKernel::kAuto) {
-    name += std::string("_") + IntersectKernelName(info.param.kernel);
+  if (info.param.kernel) {
+    name += std::string("_") + IntersectKernelName(*info.param.kernel);
   }
   return name;
 }
@@ -102,10 +103,7 @@ class GoldenCountsTest : public ::testing::TestWithParam<GoldenCase> {
             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::create_directories(dir_);
   }
-  void TearDown() override {
-    (void)SetIntersectKernel(IntersectKernel::kAuto);
-    std::filesystem::remove_all(dir_);
-  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   std::filesystem::path dir_;
 };
@@ -113,16 +111,17 @@ class GoldenCountsTest : public ::testing::TestWithParam<GoldenCase> {
 TEST_P(GoldenCountsTest, EngineAndOracleMatchPinnedCount) {
   const GoldenCase& param = GetParam();
   if (param.kernel == IntersectKernel::kAvx2 && !Avx2Available()) {
-    GTEST_SKIP() << "avx2 kernel unavailable: " << Avx2UnavailableReason();
+    GTEST_SKIP() << "avx2 kernel unavailable on this build or CPU";
   }
-  ASSERT_TRUE(SetIntersectKernel(param.kernel).ok());
+  std::optional<intersect_internal::ScopedKernelForTesting> forced;
+  if (param.kernel) forced.emplace(*param.kernel);
   Graph g = ReorderByDegree(MakeGoldenGraph(param.graph_id));
   const QueryGraph q = MakePaperQuery(param.query);
 
   // Oracle first: if this line fails, the generators or the query
   // definitions drifted, not the engine. Kernel-independent, so checked
-  // once under the adaptive dispatcher rather than per forced kernel.
-  if (param.kernel == IntersectKernel::kAuto) {
+  // once under the dispatcher rather than per forced kernel.
+  if (!param.kernel) {
     EXPECT_EQ(CountOccurrences(g, q), param.golden)
         << "brute-force oracle disagrees with the pinned golden count";
   }
@@ -141,7 +140,7 @@ TEST_P(GoldenCountsTest, EngineAndOracleMatchPinnedCount) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->embeddings, param.golden)
       << "engine disagrees with the pinned golden count under kernel "
-      << IntersectKernelName(param.kernel);
+      << (param.kernel ? IntersectKernelName(*param.kernel) : "dispatch");
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperQueries, GoldenCountsTest,

@@ -1,12 +1,12 @@
-/// Differential kernel-test harness for the tiered intersection family
-/// (DESIGN.md §11). Every kernel variant — galloping, AVX2 block-compare,
-/// bitmap-block — is run against the scalar merge oracle (itself checked
+/// Differential kernel-test harness for the intersection kernels
+/// (DESIGN.md §11). Every kernel variant — galloping and AVX2
+/// block-compare — is run against the scalar merge oracle (itself checked
 /// against std::set_intersection) over adversarial shapes: empty and
 /// singleton lists, every SIMD tail length n in {0..33}, extreme 1:10^6
 /// size ratios, dense vs sparse universes, block-aligned all-equal and
 /// all-disjoint runs. A seeded property-fuzz lane (DUALSIM_FUZZ_SEED /
-/// DUALSIM_FUZZ_ITERS) sweeps random shapes, the forced-kernel ×
-/// DUALSIM_FAKE_NO_AVX2 matrix pins the fallback ladder, and the paper's
+/// DUALSIM_FUZZ_ITERS) sweeps random shapes, the dispatcher's two ladders
+/// (with and without AVX2) are pinned on any machine, and the paper's
 /// q1–q5 golden counts are re-verified end-to-end under each forced
 /// kernel.
 
@@ -16,7 +16,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -36,49 +35,20 @@ namespace dualsim {
 namespace {
 
 using intersect_internal::Avx2CompiledIn;
+using intersect_internal::Avx2CpuSupported;
 using intersect_internal::ChooseKernel;
 using intersect_internal::kGallopRatio;
-using intersect_internal::ResetConfigForTesting;
+using intersect_internal::ScopedKernelForTesting;
 using testkit::ExpectMetricDelta;
 using testkit::FuzzConfig;
 using testkit::FuzzConfigFromEnv;
 using testkit::MetricsProbe;
 using testkit::ReproHint;
 
-/// Sets (or clears, with nullptr) one env var and re-resolves the cached
-/// intersect configuration; restores a clean slate on destruction.
-class ScopedIntersectEnv {
- public:
-  ScopedIntersectEnv(const char* name, const char* value) : name_(name) {
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-    ResetConfigForTesting();
-  }
-  ~ScopedIntersectEnv() {
-    ::unsetenv(name_);
-    ResetConfigForTesting();
-  }
-
- private:
-  const char* name_;
-};
-
-/// Restores the process kernel to kAuto even when a test fails mid-way.
-class ScopedKernel {
- public:
-  explicit ScopedKernel(IntersectKernel k) {
-    EXPECT_TRUE(SetIntersectKernel(k).ok());
-  }
-  ~ScopedKernel() { (void)SetIntersectKernel(IntersectKernel::kAuto); }
-};
-
 const std::vector<IntersectKernel>& ConcreteKernels() {
   static const std::vector<IntersectKernel> kernels = {
       IntersectKernel::kScalar, IntersectKernel::kGalloping,
-      IntersectKernel::kAvx2, IntersectKernel::kBitmap};
+      IntersectKernel::kAvx2};
   return kernels;
 }
 
@@ -113,7 +83,10 @@ void ExpectAllKernelsMatchOracle(const std::vector<VertexId>& a,
                                  const std::string& context) {
   const std::vector<VertexId> want = SetOracle(a, b);
   std::vector<VertexId> scalar;
-  Intersect2With(IntersectKernel::kScalar, a, b, &scalar);
+  {
+    ScopedKernelForTesting force(IntersectKernel::kScalar);
+    Intersect2(a, b, &scalar);
+  }
   ASSERT_EQ(scalar, want) << "scalar oracle diverged from "
                              "std::set_intersection: "
                           << context;
@@ -122,10 +95,11 @@ void ExpectAllKernelsMatchOracle(const std::vector<VertexId>& a,
       << "duplicate in output: " << context;
   for (IntersectKernel k : ConcreteKernels()) {
     if (!KernelRunnable(k)) continue;
+    ScopedKernelForTesting force(k);
     std::vector<VertexId> out;
-    Intersect2With(k, a, b, &out);
+    Intersect2(a, b, &out);
     EXPECT_EQ(out, want) << IntersectKernelName(k) << " (a, b): " << context;
-    Intersect2With(k, b, a, &out);
+    Intersect2(b, a, &out);
     EXPECT_EQ(out, want) << IntersectKernelName(k) << " (b, a): " << context;
   }
 }
@@ -195,7 +169,7 @@ TEST(IntersectKernelTest, AdversarialShapes) {
 
 /// Every SIMD tail combination: lengths 0..33 on both sides cover "below
 /// one block", "exactly blocks", and "blocks plus ragged tail" for the
-/// 8-lane AVX2 kernel (and the galloping/bitmap small-input paths).
+/// 8-lane AVX2 kernel (and the galloping small-input paths).
 TEST(IntersectKernelTest, SimdTailLengthMatrix) {
   Random rng(23);
   for (std::size_t na = 0; na <= 33; ++na) {
@@ -217,8 +191,9 @@ TEST(IntersectKernelTest, ExtremeSizeRatioOneToMillion) {
   const std::vector<VertexId> small = {1, 1'000'000, 1'999'998, 3'999'999};
   ASSERT_GE(big.size() / small.size(), 250'000u);
   ExpectAllKernelsMatchOracle(small, big, "1:10^6 skew");
-  // And the dispatcher must route it to galloping.
-  EXPECT_EQ(ChooseKernel(small, big), IntersectKernel::kGalloping);
+  // And the dispatcher must route it to galloping, with or without AVX2.
+  EXPECT_EQ(ChooseKernel(small, big, true), IntersectKernel::kGalloping);
+  EXPECT_EQ(ChooseKernel(small, big, false), IntersectKernel::kGalloping);
 }
 
 TEST(IntersectKernelTest, SeededPropertyFuzz) {
@@ -238,87 +213,66 @@ TEST(IntersectKernelTest, SeededPropertyFuzz) {
   }
 }
 
-/// Pin the dispatch policy (DESIGN.md §11): heavy skew gallops, balanced
-/// dense inputs use the best available block kernel, balanced sparse
-/// inputs fall to scalar.
+/// Pin the dispatch policy (DESIGN.md §11) on both ladders, whatever the
+/// host CPU: heavy skew gallops; balanced inputs use the AVX2 kernel when
+/// it is usable and the scalar merge when it is not, dense or sparse.
 TEST(IntersectKernelTest, DispatcherThresholds) {
   Random rng(31);
   const auto small = SortedUnique(rng, 8, 1u << 20);
   const auto huge = SortedUnique(rng, 8 * kGallopRatio, 1u << 20);
-  EXPECT_EQ(ChooseKernel(small, huge), IntersectKernel::kGalloping);
-  EXPECT_EQ(ChooseKernel(huge, small), IntersectKernel::kGalloping);
-
   const auto dense_a = SortedUnique(rng, 128, 300);
   const auto dense_b = SortedUnique(rng, 128, 300);
   const auto sparse_a = SortedUnique(rng, 128, std::uint64_t{1} << 30);
   const auto sparse_b = SortedUnique(rng, 128, std::uint64_t{1} << 30);
-  if (Avx2Available()) {
-    EXPECT_EQ(ChooseKernel(dense_a, dense_b), IntersectKernel::kAvx2);
-    EXPECT_EQ(ChooseKernel(sparse_a, sparse_b), IntersectKernel::kAvx2);
-  }
-  {
-    ScopedIntersectEnv fake("DUALSIM_FAKE_NO_AVX2", "1");
-    EXPECT_EQ(ChooseKernel(dense_a, dense_b), IntersectKernel::kBitmap);
-    EXPECT_EQ(ChooseKernel(sparse_a, sparse_b), IntersectKernel::kScalar);
-    // Skew still wins over density.
-    EXPECT_EQ(ChooseKernel(small, huge), IntersectKernel::kGalloping);
+  const std::vector<VertexId> tiny_a = {3, 5, 7};
+  const std::vector<VertexId> tiny_b = {1, 3, 4, 7, 9, 11, 12};
+  for (bool avx2 : {true, false}) {
+    SCOPED_TRACE(avx2 ? "avx2" : "no avx2");
+    EXPECT_EQ(ChooseKernel(small, huge, avx2), IntersectKernel::kGalloping);
+    EXPECT_EQ(ChooseKernel(huge, small, avx2), IntersectKernel::kGalloping);
+    const IntersectKernel balanced =
+        avx2 ? IntersectKernel::kAvx2 : IntersectKernel::kScalar;
+    EXPECT_EQ(ChooseKernel(dense_a, dense_b, avx2), balanced);
+    EXPECT_EQ(ChooseKernel(sparse_a, sparse_b, avx2), balanced);
+    // Below one 8-lane block, and on an empty input, the merge runs.
+    EXPECT_EQ(ChooseKernel(tiny_a, tiny_b, avx2), IntersectKernel::kScalar);
+    EXPECT_EQ(ChooseKernel({}, dense_a, avx2), IntersectKernel::kScalar);
   }
 }
 
-/// Forced-kernel matrix via the env var: the configured kernel resolves
-/// from DUALSIM_FORCE_INTERSECT_KERNEL and the per-kernel call counter
-/// proves the forced kernel actually ran.
-TEST(IntersectKernelTest, ForcedKernelEnvMatrix) {
+/// The test seam the engine-level suites rely on: while a
+/// ScopedKernelForTesting is alive, Intersect2 and IntersectMany run the
+/// forced kernel (its per-kernel counter moves) and still answer right;
+/// once it is gone the dispatcher decides again.
+TEST(IntersectKernelTest, ForcedKernelSeamRunsThatKernel) {
   Random rng(37);
   const auto a = SortedUnique(rng, 100, 400);
   const auto b = SortedUnique(rng, 100, 400);
   const auto want = SetOracle(a, b);
+  const std::span<const VertexId> lists[] = {a, b};
   for (IntersectKernel k : ConcreteKernels()) {
     if (!KernelRunnable(k)) continue;
-    ScopedIntersectEnv force("DUALSIM_FORCE_INTERSECT_KERNEL",
-                             IntersectKernelName(k));
-    EXPECT_EQ(ConfiguredIntersectKernel(), k);
+    const std::string counter =
+        std::string("intersect.") + IntersectKernelName(k) + ".calls";
     MetricsProbe probe;
-    std::vector<VertexId> out;
-    Intersect2(a, b, &out);
-    EXPECT_EQ(out, want) << IntersectKernelName(k);
-    ExpectMetricDelta(probe, "intersect.calls", 1);
-    ExpectMetricDelta(
-        probe, std::string("intersect.") + IntersectKernelName(k) + ".calls",
-        1);
+    {
+      ScopedKernelForTesting force(k);
+      std::vector<VertexId> out;
+      Intersect2(a, b, &out);
+      EXPECT_EQ(out, want) << IntersectKernelName(k);
+      IntersectMany(lists, &out);
+      EXPECT_EQ(out, want) << IntersectKernelName(k);
+    }
+    ExpectMetricDelta(probe, "intersect.calls", 2);
+    ExpectMetricDelta(probe, counter, 2);
   }
-  {
-    ScopedIntersectEnv typo("DUALSIM_FORCE_INTERSECT_KERNEL", "sse9");
-    auto kernel = DefaultIntersectKernel();
-    EXPECT_FALSE(kernel.ok());
-  }
-}
-
-/// The AVX2 leg of the fallback ladder, faked off: availability goes
-/// false with a reason, auto dispatch stops choosing AVX2, an explicit
-/// force fails typed instead of silently running another kernel — and
-/// results stay correct throughout.
-TEST(IntersectKernelTest, FakeNoAvx2FallbackLadder) {
-  ScopedIntersectEnv fake("DUALSIM_FAKE_NO_AVX2", "1");
-  EXPECT_FALSE(Avx2Available());
-  EXPECT_NE(Avx2UnavailableReason(), "");
-
-  EXPECT_FALSE(SetIntersectKernel(IntersectKernel::kAvx2).ok());
-  (void)SetIntersectKernel(IntersectKernel::kAuto);
-  {
-    ScopedIntersectEnv force("DUALSIM_FORCE_INTERSECT_KERNEL", "avx2");
-    auto kernel = DefaultIntersectKernel();
-    EXPECT_FALSE(kernel.ok());
-  }
-
-  Random rng(41);
-  const auto a = SortedUnique(rng, 256, 600);
-  const auto b = SortedUnique(rng, 256, 600);
   MetricsProbe probe;
   std::vector<VertexId> out;
   Intersect2(a, b, &out);
-  EXPECT_EQ(out, SetOracle(a, b));
-  ExpectMetricDelta(probe, "intersect.avx2.calls", 0);
+  const IntersectKernel chosen = ChooseKernel(a, b, Avx2Available());
+  ExpectMetricDelta(
+      probe, std::string("intersect.") + IntersectKernelName(chosen) + ".calls",
+      1);
 }
 
 /// Satellite fix: the m-way result vector is reserved once from the
@@ -378,8 +332,9 @@ TEST(IntersectKernelTest, ManyWayDifferentialAcrossKernels) {
     std::vector<std::span<const VertexId>> spans(lists.begin(), lists.end());
     for (IntersectKernel k : ConcreteKernels()) {
       if (!KernelRunnable(k)) continue;
+      ScopedKernelForTesting force(k);
       std::vector<VertexId> out;
-      IntersectManyWith(k, spans, &out);
+      IntersectMany(spans, &out);
       EXPECT_EQ(out, want) << IntersectKernelName(k) << " trial " << trial;
     }
   }
@@ -403,24 +358,16 @@ TEST(IntersectKernelTest, MetricsHistogramsRecorded) {
             before.histogram("intersect.selectivity_pct").count + 1);
 }
 
-/// AVX2 build/CPU/fake ladder is internally consistent.
+/// Avx2Available is exactly "compiled in and the CPU has it", and the
+/// kernel names are distinct.
 TEST(IntersectKernelTest, AvailabilityLadderConsistency) {
-  if (Avx2Available()) {
-    EXPECT_TRUE(Avx2CompiledIn());
-    EXPECT_EQ(Avx2UnavailableReason(), "");
-  } else {
-    EXPECT_NE(Avx2UnavailableReason(), "");
-  }
-  // Parse/name round-trip over the whole family.
-  for (IntersectKernel k :
-       {IntersectKernel::kAuto, IntersectKernel::kScalar,
-        IntersectKernel::kGalloping, IntersectKernel::kAvx2,
-        IntersectKernel::kBitmap}) {
-    auto parsed = ParseIntersectKernel(IntersectKernelName(k));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, k);
-  }
-  EXPECT_FALSE(ParseIntersectKernel("neon").ok());
+  EXPECT_EQ(Avx2Available(), Avx2CompiledIn() && Avx2CpuSupported());
+  const std::set<std::string> names = {
+      IntersectKernelName(IntersectKernel::kScalar),
+      IntersectKernelName(IntersectKernel::kGalloping),
+      IntersectKernelName(IntersectKernel::kAvx2)};
+  EXPECT_EQ(names.size(), 3u);
+  EXPECT_EQ(names.count("unknown"), 0u);
 }
 
 /// End-to-end: the paper's q1–q5 pinned golden counts over the ER fixture
@@ -448,7 +395,7 @@ TEST(IntersectKernelTest, GoldenCountsUnderEachForcedKernel) {
 
   for (IntersectKernel k : ConcreteKernels()) {
     if (!KernelRunnable(k)) continue;
-    ScopedKernel guard(k);
+    ScopedKernelForTesting guard(k);
     EngineOptions options;
     options.buffer_fraction = 0.2;
     options.num_threads = 2;

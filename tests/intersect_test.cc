@@ -171,7 +171,7 @@ TEST(IntersectTest, KernelCountersSumToCalls) {
   std::uint64_t per_kernel = 0;
   for (const char* name :
        {"intersect.scalar.calls", "intersect.galloping.calls",
-        "intersect.avx2.calls", "intersect.bitmap.calls"}) {
+        "intersect.avx2.calls"}) {
     per_kernel += probe.Delta(name);
   }
   EXPECT_EQ(calls, 3u);  // two 2-way + one pairwise step inside many-way
