@@ -31,6 +31,7 @@
 /// ("0-1,1-2,2-0,0=3,1=3") or as a suffix naming every vertex
 /// ("triangle@3,3,*"); "*" matches any label.
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -231,21 +232,49 @@ int CmdExplain(int argc, char** argv) {
   return 0;
 }
 
+/// Reads a whole positional argument as a number; false when any of it is
+/// not (a flag, a typo, trailing junk) or it is out of range.
+bool ParseNumber(const char* text, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtod(text, &end);
+  return end != text && *end == '\0' && errno == 0;
+}
+
+bool ParseNumber(const char* text, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  *out = static_cast<int>(v);
+  return end != text && *end == '\0' && errno == 0 && v == *out;
+}
+
+int QueryUsage(const char* what, const char* arg) {
+  std::fprintf(stderr,
+               "query: %s '%s'\nusage: query <db_path> <query> "
+               "[buffer_fraction] [max_print] [metrics.json]\n",
+               what, arg);
+  return 2;
+}
+
 int CmdQuery(int argc, char** argv) {
   EngineOptions options;
-  if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: query <db_path> <query> [buffer_fraction] "
-                 "[max_print] [metrics.json]\n");
-    return 2;
+  if (argc < 4) return QueryUsage("missing", "<db_path> <query>");
+  int max_print = 0;
+  if (argc > 4 && !ParseNumber(argv[4], &options.buffer_fraction)) {
+    return QueryUsage("buffer_fraction is not a number:", argv[4]);
   }
+  if (argc > 5 && !ParseNumber(argv[5], &max_print)) {
+    return QueryUsage("max_print is not an integer:", argv[5]);
+  }
+  if (argc > 6 && argv[6][0] == '-') {
+    return QueryUsage("unknown flag", argv[6]);
+  }
+  if (argc > 7) return QueryUsage("unexpected argument", argv[7]);
   auto disk = service::OpenServedGraph(argv[2]);
   if (!disk.ok()) return FailGraphLoad(disk.status());
   auto q = ParseQuery(argv[3]);
   if (!q.ok()) return Fail(q.status());
-
-  if (argc > 4) options.buffer_fraction = std::atof(argv[4]);
-  const int max_print = argc > 5 ? std::atoi(argv[5]) : 0;
 
   DualSimEngine engine(disk->get(), options);
   std::mutex mu;

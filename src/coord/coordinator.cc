@@ -1,16 +1,11 @@
 #include "coord/coordinator.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <signal.h>
 #include <spawn.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -30,17 +25,8 @@ namespace {
 
 using namespace dualsim::service;
 
-using Clock = std::chrono::steady_clock;
-
+/// The coordinator's metrics beyond the shell's shared `coord.*` set.
 struct CoordMetrics {
-  obs::Counter* received;
-  obs::Counter* admitted;
-  obs::Counter* rejected_invalid;
-  obs::Counter* rejected_draining;
-  obs::Counter* completed;
-  obs::Counter* failed;
-  obs::Counter* cancelled;
-  obs::Counter* deadline_expired;
   obs::Counter* dispatches;
   obs::Counter* merge_accepted;
   obs::Counter* merge_duplicates_dropped;
@@ -48,22 +34,12 @@ struct CoordMetrics {
   obs::Counter* worker_respawns;
   obs::Counter* worker_failures;
   obs::Counter* partial_results;
-  obs::Gauge* active_requests;
-  obs::Histogram* request_latency_us;
   obs::Histogram* worker_latency_us;
   obs::Histogram* fanout_spread_us;
 };
 
 CoordMetrics& Metrics() {
   static CoordMetrics m{
-      obs::Metrics().GetCounter("coord.requests_received"),
-      obs::Metrics().GetCounter("coord.requests_admitted"),
-      obs::Metrics().GetCounter("coord.requests_rejected_invalid"),
-      obs::Metrics().GetCounter("coord.requests_rejected_draining"),
-      obs::Metrics().GetCounter("coord.requests_completed"),
-      obs::Metrics().GetCounter("coord.requests_failed"),
-      obs::Metrics().GetCounter("coord.requests_cancelled"),
-      obs::Metrics().GetCounter("coord.requests_deadline_expired"),
       obs::Metrics().GetCounter("coord.dispatches"),
       obs::Metrics().GetCounter("coord.merge_accepted"),
       obs::Metrics().GetCounter("coord.merge_duplicates_dropped"),
@@ -71,74 +47,13 @@ CoordMetrics& Metrics() {
       obs::Metrics().GetCounter("coord.worker_respawns"),
       obs::Metrics().GetCounter("coord.worker_failures"),
       obs::Metrics().GetCounter("coord.partial_results"),
-      obs::Metrics().GetGauge("coord.active_requests"),
-      obs::Metrics().GetHistogram("coord.request_latency_us"),
       obs::Metrics().GetHistogram("coord.worker_latency_us"),
       obs::Metrics().GetHistogram("coord.fanout_spread_us"),
   };
   return m;
 }
 
-/// Why a request was asked to stop; first writer wins (CAS from none).
-/// Mirrors the service's reasons so terminal codes match single-node
-/// behavior byte for byte.
-enum CancelReason : int {
-  kReasonNone = 0,
-  kReasonClient = 1,
-  kReasonDeadline = 2,
-  kReasonDrain = 3,
-};
-
-WireCode CodeForReason(int reason) {
-  switch (reason) {
-    case kReasonDeadline:
-      return WireCode::kDeadlineExceeded;
-    case kReasonDrain:
-      return WireCode::kShuttingDown;
-    default:
-      return WireCode::kCancelled;
-  }
-}
-
-std::uint64_t ElapsedUs(Clock::time_point since) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                            since)
-          .count());
-}
-
-/// Embeddings per EMBEDDINGS frame when relaying merged results.
-constexpr std::size_t kRelayBatchSize = 64;
-
 }  // namespace
-
-/// One accepted client connection; same write-atomicity discipline as
-/// QueryService::Connection (lock order: mu_ before write_mu).
-struct Coordinator::Connection {
-  explicit Connection(int fd_in) : fd(fd_in) {}
-  ~Connection() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  Status Send(FrameType type, std::string_view payload) {
-    std::lock_guard<std::mutex> lock(write_mu);
-    if (!open.load(std::memory_order_relaxed)) {
-      return Status::IOError("connection closed");
-    }
-    Status s = WriteFrame(fd, type, payload);
-    if (!s.ok()) open.store(false, std::memory_order_relaxed);
-    return s;
-  }
-
-  void ShutdownSocket() {
-    open.store(false, std::memory_order_relaxed);
-    ::shutdown(fd, SHUT_RDWR);
-  }
-
-  int fd;
-  std::mutex write_mu;
-  std::atomic<bool> open{true};
-};
 
 /// One in-flight client request being fanned out.
 struct Coordinator::CoordRequest {
@@ -184,7 +99,18 @@ struct Coordinator::PartOutcome {
 };
 
 Coordinator::Coordinator(CoordinatorOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)),
+      shell_("coord", options_.metrics_path,
+             {[this](const std::shared_ptr<Connection>& conn,
+                     const Frame& frame) { return HandleFrame(conn, frame); },
+              [this] { DrainInFlight(); }, [this] { EnforceDeadlines(); },
+              /*on_close=*/{},
+              [this](StatusInfo* info) {
+                // No admission queue: requests fan out on arrival.
+                std::lock_guard<std::mutex> lock(mu_);
+                info->active_requests =
+                    static_cast<std::uint32_t>(active_.size());
+              }}) {}
 
 Coordinator::~Coordinator() { Stop(); }
 
@@ -276,7 +202,7 @@ void Coordinator::MaybeRespawnWorker(int part) {
 }
 
 Status Coordinator::Start() {
-  if (started_.load()) {
+  if (disk_ != nullptr) {
     return Status::FailedPrecondition("coordinator already started");
   }
   if (options_.num_parts < 1) {
@@ -325,9 +251,9 @@ Status Coordinator::Start() {
     }
   }
 
-  // Shape + capability handshake against every worker before serving:
-  // merging counts from the wrong graph (or from a worker that would
-  // ignore the partition scope) must fail here, not corrupt results.
+  // Shape + version handshake against every worker before serving:
+  // merging counts from the wrong graph must fail here, not corrupt
+  // results.
   for (int p = 0; p < options_.num_parts; ++p) {
     const WorkerEndpoint w = workers()[static_cast<std::size_t>(p)];
     QueryClient probe;
@@ -348,11 +274,6 @@ Status Coordinator::Start() {
           std::to_string(ack->version) + ", coordinator speaks v" +
           std::to_string(kWorkerHelloVersion));
     }
-    if (!ack->supports_partition) {
-      return Status::FailedPrecondition(
-          "worker " + std::to_string(p) +
-          " does not accept partition-scoped SUBMITs (version skew)");
-    }
     if (ack->num_vertices != disk_->num_vertices() ||
         ack->num_edges != static_cast<std::uint64_t>(disk_->num_edges())) {
       return Status::FailedPrecondition(
@@ -364,124 +285,36 @@ Status Coordinator::Start() {
     }
   }
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad bind address '" +
-                                   options_.bind_address + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    Status s = Status::IOError("bind " + options_.bind_address + ":" +
-                               std::to_string(options_.port) + ": " +
-                               std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    Status s = Status::IOError(std::string("listen: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
-
-  started_.store(true);
-  acceptor_ = std::thread([this] { AcceptorLoop(); });
-  watchdog_ = std::thread([this] { WatchdogLoop(); });
-  return Status::OK();
+  return shell_.Start(options_.bind_address, options_.port);
 }
 
-void Coordinator::AcceptorLoop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      if (draining_.load() || stopping_.load()) return;
-      continue;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Connection>(fd);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (draining_.load()) {
-      conn->ShutdownSocket();
-      continue;
-    }
-    connections_.push_back(conn);
-    conn_threads_.emplace_back(
-        [this, conn]() mutable { ConnectionLoop(std::move(conn)); });
+bool Coordinator::HandleFrame(const std::shared_ptr<Connection>& conn,
+                              const Frame& frame) {
+  switch (frame.type) {
+    case FrameType::kSubmit:
+      HandleSubmit(conn, frame.payload);
+      return true;
+    case FrameType::kCancel:
+      HandleCancel(conn, frame.payload);
+      return true;
+    default:
+      return false;
   }
-}
-
-void Coordinator::ConnectionLoop(std::shared_ptr<Connection> conn) {
-  for (;;) {
-    auto frame_or = ReadFrame(conn->fd);
-    if (!frame_or.ok()) {
-      if (frame_or.status().code() == StatusCode::kInvalidArgument) {
-        conn->Send(FrameType::kError,
-                   EncodeReject({0, WireCode::kProtocolError,
-                                 frame_or.status().message()}));
-      }
-      break;
-    }
-    const Frame& frame = frame_or.value();
-    switch (frame.type) {
-      case FrameType::kSubmit:
-        HandleSubmit(conn, frame.payload);
-        break;
-      case FrameType::kCancel:
-        HandleCancel(conn, frame.payload);
-        break;
-      case FrameType::kStatus:
-        conn->Send(FrameType::kStatusInfo, EncodeStatusInfo(Snapshot()));
-        break;
-      case FrameType::kShutdown:
-        HandleShutdown(conn);
-        break;
-      default:
-        conn->Send(FrameType::kError,
-                   EncodeReject({0, WireCode::kProtocolError,
-                                 std::string("unexpected frame ") +
-                                     FrameTypeName(frame.type)}));
-        break;
-    }
-  }
-  conn->ShutdownSocket();
 }
 
 void Coordinator::HandleSubmit(const std::shared_ptr<Connection>& conn,
                                std::string_view payload) {
   SubmitRequest submit;
   if (Status s = DecodeSubmit(payload, &submit); !s.ok()) {
-    conn->Send(FrameType::kError,
-               EncodeReject({0, WireCode::kProtocolError, s.message()}));
+    conn->SendProtocolError(s.message());
     return;
   }
-  ledger_.received.fetch_add(1, std::memory_order_relaxed);
-  Metrics().received->Increment();
+  shell_.CountReceived();
 
   if (submit.partition.has_value()) {
-    ledger_.rejected_invalid.fetch_add(1, std::memory_order_relaxed);
-    Metrics().rejected_invalid->Increment();
-    conn->Send(FrameType::kRejected,
-               EncodeReject({submit.request_id, WireCode::kProtocolError,
-                             "coordinator does not accept partition-scoped "
-                             "SUBMITs (it issues them)"}));
+    shell_.Reject(*conn, submit.request_id, WireCode::kProtocolError,
+                  "coordinator does not accept partition-scoped SUBMITs (it "
+                  "issues them)");
     return;
   }
 
@@ -489,11 +322,8 @@ void Coordinator::HandleSubmit(const std::shared_ptr<Connection>& conn,
   // by the workers (and the arity is known for relaying embeddings).
   auto query = ParseQuery(submit.query);
   if (!query.ok()) {
-    ledger_.rejected_invalid.fetch_add(1, std::memory_order_relaxed);
-    Metrics().rejected_invalid->Increment();
-    conn->Send(FrameType::kRejected,
-               EncodeReject({submit.request_id, WireCode::kInvalidQuery,
-                             query.status().message()}));
+    shell_.Reject(*conn, submit.request_id, WireCode::kInvalidQuery,
+                  query.status().message());
     return;
   }
 
@@ -515,19 +345,16 @@ void Coordinator::HandleSubmit(const std::shared_ptr<Connection>& conn,
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (draining_.load()) {
-      ledger_.rejected_draining.fetch_add(1, std::memory_order_relaxed);
-      Metrics().rejected_draining->Increment();
-      conn->Send(FrameType::kRejected,
-                 EncodeReject({req->id, WireCode::kShuttingDown,
-                               "coordinator is draining"}));
+    if (shell_.draining()) {
+      shell_.Reject(*conn, req->id, WireCode::kShuttingDown,
+                    "coordinator is draining");
       return;
     }
-    ledger_.admitted.fetch_add(1, std::memory_order_relaxed);
-    Metrics().admitted->Increment();
+    shell_.CountAdmitted();
     conn->Send(FrameType::kAccepted, EncodeAccepted(req->id));
     active_.push_back(req);
-    Metrics().active_requests->Set(static_cast<std::int64_t>(active_.size()));
+    shell_.metrics().active_requests->Set(
+        static_cast<std::int64_t>(active_.size()));
     ++runner_count_;
   }
   // Detached runner; runner_count_ (not joinability) gates teardown, so a
@@ -539,8 +366,7 @@ void Coordinator::HandleCancel(const std::shared_ptr<Connection>& conn,
                                std::string_view payload) {
   std::uint64_t id = 0;
   if (Status s = DecodeCancel(payload, &id); !s.ok()) {
-    conn->Send(FrameType::kError,
-               EncodeReject({0, WireCode::kProtocolError, s.message()}));
+    conn->SendProtocolError(s.message());
     return;
   }
   std::shared_ptr<CoordRequest> target;
@@ -563,18 +389,6 @@ void Coordinator::HandleCancel(const std::shared_ptr<Connection>& conn,
         std::memory_order_relaxed);
   }
   CancelWorkers(target);
-}
-
-void Coordinator::HandleShutdown(const std::shared_ptr<Connection>& conn) {
-  BeginDrain();
-  DrainInFlight();
-  FlushMetricsOnce();
-  conn->Send(FrameType::kShutdownAck, {});
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_requested_ = true;
-  }
-  shutdown_cv_.notify_all();
 }
 
 void Coordinator::DispatchPartition(const std::shared_ptr<CoordRequest>& req,
@@ -783,37 +597,27 @@ void Coordinator::RunRequest(std::shared_ptr<CoordRequest> req) {
     // Relay the merged (owner-deduplicated) embeddings, re-batched, only
     // on a complete merge: a partial stream would not be trustworthy.
     if (req->stream_embeddings && req->arity > 0) {
-      EmbeddingBatch batch;
-      batch.request_id = req->id;
-      batch.arity = req->arity;
-      std::uint64_t streamed = 0;
-      const std::uint64_t cap =
-          req->max_embeddings == 0 ? ~0ull : req->max_embeddings;
+      EmbeddingBatcher batcher(req->conn.get(), req->id, req->arity,
+                               req->max_embeddings,
+                               shell_.metrics().embeddings_streamed);
       for (const PartOutcome& po : outcomes) {
-        for (std::size_t i = 0;
-             i + req->arity <= po.owned.size() && streamed < cap;
+        const std::span<const VertexId> owned(po.owned);
+        for (std::size_t i = 0; i + req->arity <= owned.size();
              i += req->arity) {
-          batch.vertices.insert(batch.vertices.end(), po.owned.begin() + i,
-                                po.owned.begin() + i + req->arity);
-          ++streamed;
-          if (batch.vertices.size() >= kRelayBatchSize * req->arity) {
-            req->conn->Send(FrameType::kEmbeddings, EncodeEmbeddings(batch));
-            batch.vertices.clear();
-          }
+          if (!batcher.Add(owned.subspan(i, req->arity))) break;
         }
       }
-      if (!batch.vertices.empty()) {
-        req->conn->Send(FrameType::kEmbeddings, EncodeEmbeddings(batch));
-      }
+      batcher.Flush();
     }
   }
 
-  CountResult(out.code);
-  Metrics().request_latency_us->Record(out.elapsed_us);
+  shell_.CountResult(out.code);
+  shell_.metrics().request_latency_us->Record(out.elapsed_us);
   {
     std::lock_guard<std::mutex> lock(mu_);
     active_.erase(std::find(active_.begin(), active_.end(), req));
-    Metrics().active_requests->Set(static_cast<std::int64_t>(active_.size()));
+    shell_.metrics().active_requests->Set(
+        static_cast<std::int64_t>(active_.size()));
   }
   req->conn->Send(FrameType::kResult, EncodeResult(out));
   idle_cv_.notify_all();
@@ -840,37 +644,12 @@ void Coordinator::AbortWorkers(const std::shared_ptr<CoordRequest>& req) {
   }
 }
 
-void Coordinator::CountResult(WireCode code) {
-  switch (code) {
-    case WireCode::kOk:
-      ledger_.completed.fetch_add(1, std::memory_order_relaxed);
-      Metrics().completed->Increment();
-      break;
-    case WireCode::kDeadlineExceeded:
-      ledger_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
-      Metrics().deadline_expired->Increment();
-      break;
-    case WireCode::kCancelled:
-    case WireCode::kShuttingDown:
-      ledger_.cancelled.fetch_add(1, std::memory_order_relaxed);
-      Metrics().cancelled->Increment();
-      break;
-    default:  // kPartialResult and harder failures
-      ledger_.failed.fetch_add(1, std::memory_order_relaxed);
-      Metrics().failed->Increment();
-      break;
-  }
-}
-
-void Coordinator::WatchdogLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    watchdog_cv_.wait_for(lock, std::chrono::milliseconds(2),
-                          [this] { return stopping_.load(); });
-    if (stopping_.load()) return;
+void Coordinator::EnforceDeadlines() {
+  std::vector<std::shared_ptr<CoordRequest>> to_cancel;
+  std::vector<std::shared_ptr<CoordRequest>> to_abort;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
     const Clock::time_point now = Clock::now();
-    std::vector<std::shared_ptr<CoordRequest>> to_cancel;
-    std::vector<std::shared_ptr<CoordRequest>> to_abort;
     for (const auto& req : active_) {
       if (req->has_deadline && now >= req->deadline) {
         int expected = kReasonNone;
@@ -898,18 +677,9 @@ void Coordinator::WatchdogLoop() {
         to_abort.push_back(req);
       }
     }
-    if (to_cancel.empty() && to_abort.empty()) continue;
-    lock.unlock();
-    for (const auto& req : to_cancel) CancelWorkers(req);
-    for (const auto& req : to_abort) AbortWorkers(req);
-    lock.lock();
   }
-}
-
-void Coordinator::BeginDrain() {
-  bool expected = false;
-  if (!draining_.compare_exchange_strong(expected, true)) return;
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  for (const auto& req : to_cancel) CancelWorkers(req);
+  for (const auto& req : to_abort) AbortWorkers(req);
 }
 
 void Coordinator::DrainInFlight() {
@@ -936,56 +706,12 @@ void Coordinator::DrainInFlight() {
   for (const auto& req : stragglers) AbortWorkers(req);
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait_for(lock, grace, [this] { return active_.empty(); });
-}
-
-void Coordinator::FlushMetricsOnce() {
-  bool expected = false;
-  if (!metrics_flushed_.compare_exchange_strong(expected, true)) return;
-  std::string path = options_.metrics_path;
-  if (path.empty()) {
-    const char* env = std::getenv("DUALSIM_METRICS_OUT");
-    if (env != nullptr) path = env;
-  }
-  if (!path.empty()) obs::WriteMetricsJsonFile(path);
-}
-
-bool Coordinator::WaitForShutdown(std::uint32_t timeout_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
-  return shutdown_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                               [this] { return shutdown_requested_; });
+  // Runner threads are detached; wait for the count, not joinability.
+  runners_cv_.wait_for(lock, grace, [this] { return runner_count_ == 0; });
 }
 
 void Coordinator::Stop() {
-  if (!started_.load()) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
-  BeginDrain();
-  DrainInFlight();
-  {
-    // Runner threads are detached; wait for the count, not joinability.
-    std::unique_lock<std::mutex> lock(mu_);
-    runners_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.drain_timeout_ms),
-        [this] { return runner_count_ == 0; });
-  }
-  stopping_.store(true);
-  watchdog_cv_.notify_all();
-  if (acceptor_.joinable()) acceptor_.join();
-  if (watchdog_.joinable()) watchdog_.join();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& conn : connections_) conn->ShutdownSocket();
-  }
-  for (std::thread& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  shell_.Stop();
   // Stop spawned workers: SIGTERM, short grace, SIGKILL, reap. Attached
   // workers belong to whoever started them.
   {
@@ -1010,28 +736,6 @@ void Coordinator::Stop() {
       w.pid = -1;
     }
   }
-  FlushMetricsOnce();
-}
-
-service::StatusInfo Coordinator::Snapshot() const {
-  StatusInfo info;
-  info.received = ledger_.received.load(std::memory_order_relaxed);
-  info.admitted = ledger_.admitted.load(std::memory_order_relaxed);
-  info.rejected_draining =
-      ledger_.rejected_draining.load(std::memory_order_relaxed);
-  info.rejected_invalid =
-      ledger_.rejected_invalid.load(std::memory_order_relaxed);
-  info.completed = ledger_.completed.load(std::memory_order_relaxed);
-  info.failed = ledger_.failed.load(std::memory_order_relaxed);
-  info.cancelled = ledger_.cancelled.load(std::memory_order_relaxed);
-  info.deadline_expired =
-      ledger_.deadline_expired.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    info.active_requests = static_cast<std::uint32_t>(active_.size());
-  }
-  info.draining = draining_.load(std::memory_order_relaxed);
-  return info;
 }
 
 }  // namespace dualsim::coord

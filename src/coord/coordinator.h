@@ -5,7 +5,7 @@
 /// TCP endpoint speaking the ordinary client protocol (service/protocol.h)
 /// whose execution engine is a fleet of per-partition worker processes —
 /// each a stock dualsim_serve / QueryService over a replica of the same
-/// graph database. A client SUBMIT fans out as one partition-scoped v3
+/// graph database. A client SUBMIT fans out as one partition-scoped
 /// SUBMIT per partition; workers report every embedding *touching* their
 /// partition and the coordinator merges the streams, accepting an
 /// embedding only from its owner partition (the lowest home part over its
@@ -21,20 +21,22 @@
 /// are enforced coordinator-side by a watchdog that first fans out CANCEL
 /// and, after a grace window, severs the worker connections outright.
 /// Client CANCEL and coordinator drain fan out the same way, with
-/// first-writer-wins cancel reasons deciding the terminal code.
+/// first-writer-wins cancel reasons deciding the terminal code. The socket,
+/// frame loop, ledger and drain sequence live in the shared FrontEnd shell
+/// (service/front_end.h); this class adds spawn/attach, the handshake,
+/// dispatch and merge, and the cancel/abort ladder.
 
 #include <sys/types.h>
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "service/front_end.h"
 #include "service/protocol.h"
 #include "storage/disk_graph.h"
 #include "util/status.h"
@@ -57,7 +59,7 @@ struct CoordinatorOptions {
   std::uint16_t port = 0;
   /// Partition count == worker count. Placement is the pure hash
   /// PartitionOf(v, num_parts, partition_seed); workers need no partition
-  /// state beyond the scope carried by each v3 SUBMIT.
+  /// state beyond the scope carried by each dispatched SUBMIT.
   int num_parts = 2;
   std::uint64_t partition_seed = 0;
   /// Graph database every worker serves (replicated; the scope filter
@@ -103,16 +105,18 @@ class Coordinator {
   Status Start();
 
   /// Bound TCP port (the ephemeral choice when options.port == 0).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return shell_.port(); }
 
   /// The worker fleet (stable after Start); fault tests take pids here.
   std::vector<WorkerEndpoint> workers() const;
 
-  bool draining() const { return draining_.load(std::memory_order_relaxed); }
+  bool draining() const { return shell_.draining(); }
 
   /// Blocks up to `timeout_ms` for a client SHUTDOWN drain; true when one
   /// completed. The caller still runs Stop() for final teardown.
-  bool WaitForShutdown(std::uint32_t timeout_ms);
+  bool WaitForShutdown(std::uint32_t timeout_ms) {
+    return shell_.WaitForShutdown(timeout_ms);
+  }
 
   /// Drain + teardown: stop accepting, finish or cancel in-flight
   /// requests, stop spawned workers (SIGTERM then SIGKILL), join
@@ -122,22 +126,22 @@ class Coordinator {
   /// Point-in-time admission ledger (the STATUS response). queue_depth is
   /// always 0: the coordinator has no admission queue, requests fan out
   /// on arrival.
-  service::StatusInfo Snapshot() const;
+  service::StatusInfo Snapshot() const { return shell_.Snapshot(); }
 
  private:
-  struct Connection;
+  using Connection = service::Connection;
   struct CoordRequest;
   struct PartOutcome;
 
-  void AcceptorLoop();
-  void ConnectionLoop(std::shared_ptr<Connection> conn);
-  void WatchdogLoop();
+  bool HandleFrame(const std::shared_ptr<Connection>& conn,
+                   const service::Frame& frame);
+  /// Watchdog tick: the deadline and client-cancel abort ladder.
+  void EnforceDeadlines();
 
   void HandleSubmit(const std::shared_ptr<Connection>& conn,
                     std::string_view payload);
   void HandleCancel(const std::shared_ptr<Connection>& conn,
                     std::string_view payload);
-  void HandleShutdown(const std::shared_ptr<Connection>& conn);
 
   /// Fans one admitted request out to every partition, merges, answers.
   /// Runs on a detached runner thread; runner_count_ tracks liveness.
@@ -156,51 +160,23 @@ class Coordinator {
   void CancelWorkers(const std::shared_ptr<CoordRequest>& req);
   void AbortWorkers(const std::shared_ptr<CoordRequest>& req);
 
-  void CountResult(service::WireCode code);
-  void BeginDrain();
+  /// Drain ladder (cancel, abort, wait), then waits out the detached
+  /// runner threads.
   void DrainInFlight();
-  void FlushMetricsOnce();
 
   CoordinatorOptions options_;
   std::unique_ptr<DiskGraph> disk_;  // shape only; workers do the reading
-
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> started_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> metrics_flushed_{false};
-  bool shutdown_requested_ = false;  // guarded by mu_
-  bool stopped_ = false;             // guarded by mu_
-
-  std::thread acceptor_;
-  std::thread watchdog_;
+  service::FrontEnd shell_;
 
   mutable std::mutex workers_mu_;
   std::vector<WorkerEndpoint> workers_;  // indexed by partition
   int spawn_counter_ = 0;                // unique port-file names
 
   mutable std::mutex mu_;
-  std::condition_variable idle_cv_;      // drain: no active requests
-  std::condition_variable shutdown_cv_;  // WaitForShutdown
-  std::condition_variable watchdog_cv_;  // watchdog tick / stop
-  std::condition_variable runners_cv_;   // Stop: runner threads done
-  int runner_count_ = 0;                 // live RunRequest threads
+  std::condition_variable idle_cv_;     // drain: no active requests
+  std::condition_variable runners_cv_;  // drain: runner threads done
+  int runner_count_ = 0;                // live RunRequest threads
   std::vector<std::shared_ptr<CoordRequest>> active_;
-  std::vector<std::shared_ptr<Connection>> connections_;
-  std::vector<std::thread> conn_threads_;
-
-  struct Ledger {
-    std::atomic<std::uint64_t> received{0};
-    std::atomic<std::uint64_t> admitted{0};
-    std::atomic<std::uint64_t> rejected_draining{0};
-    std::atomic<std::uint64_t> rejected_invalid{0};
-    std::atomic<std::uint64_t> completed{0};
-    std::atomic<std::uint64_t> failed{0};
-    std::atomic<std::uint64_t> cancelled{0};
-    std::atomic<std::uint64_t> deadline_expired{0};
-  };
-  Ledger ledger_;
 };
 
 }  // namespace dualsim::coord

@@ -82,7 +82,7 @@ Status QueryClient::Submit(const ClientRequest& req) {
   submit.max_embeddings = req.max_embeddings;
   submit.stream_embeddings = req.stream_embeddings;
   submit.query = req.query;
-  submit.partition = req.partition;  // encoder forces v3 when set
+  submit.partition = req.partition;
   DUALSIM_RETURN_IF_ERROR(Send(FrameType::kSubmit, EncodeSubmit(submit)));
 
   DUALSIM_ASSIGN_OR_RETURN(Frame frame, ReadFrame(fd_));

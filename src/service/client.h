@@ -29,8 +29,8 @@ struct ClientRequest {
   std::uint32_t deadline_ms = 0;     // 0 = no deadline
   bool stream_embeddings = false;    // also receive EMBEDDINGS batches
   std::uint32_t max_embeddings = 0;  // cap on streamed embeddings (0 = all)
-  /// Set on coordinator -> worker sub-queries: the SUBMIT goes out as v3
-  /// and the worker reports only embeddings touching this scope's part.
+  /// Set on coordinator -> worker sub-queries: the SUBMIT carries the
+  /// scope and the worker reports only embeddings touching its part.
   std::optional<PartitionScope> partition = std::nullopt;
 };
 

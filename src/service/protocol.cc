@@ -70,10 +70,6 @@ class WireReader {
   /// Every byte consumed and no getter failed.
   bool Done() const { return ok_ && pos_ == data_.size(); }
 
-  /// Bytes left to consume (0 once a getter has failed). Lets versioned
-  /// decoders pick a suffix layout by its exact width before reading it.
-  std::size_t Remaining() const { return ok_ ? data_.size() - pos_ : 0; }
-
  private:
   bool Fixed(std::uint64_t* v, int bytes) {
     if (!ok_ || data_.size() - pos_ < static_cast<std::size_t>(bytes)) {
@@ -101,7 +97,6 @@ Status Truncated(const char* what) {
                                  " payload");
 }
 
-constexpr std::uint8_t kFlagStreamEmbeddings = 0x1;
 constexpr std::uint8_t kFlagInitialEmbeddings = 0x1;
 
 }  // namespace
@@ -165,20 +160,13 @@ std::string EncodeSubmit(const SubmitRequest& req) {
   w.U64(req.request_id);
   w.U32(req.deadline_ms);
   w.U32(req.max_embeddings);
-  w.U8(req.stream_embeddings ? kFlagStreamEmbeddings : 0);
+  w.U8((req.stream_embeddings ? kSubmitFlagStream : 0) |
+       (req.partition.has_value() ? kSubmitFlagPartition : 0));
   w.Str(req.query);
-  // v1 ends here; later versions self-describe with a trailing byte so a
-  // v2-aware server can tell old clients apart from labeled-capable ones.
-  // v3 inserts the partition scope before that byte; the decoder picks
-  // the layout by the exact suffix width, so the scope fields must stay
-  // fixed-size.
   if (req.partition.has_value()) {
     w.U32(req.partition->num_parts);
     w.U32(req.partition->part_id);
     w.U64(req.partition->seed);
-    w.U8(kSubmitVersionPartition);
-  } else if (req.version > kSubmitVersionV1) {
-    w.U8(req.version);
   }
   return std::move(w).Take();
 }
@@ -192,35 +180,23 @@ Status DecodeSubmit(std::string_view payload, SubmitRequest* out) {
   r.U8(&flags);
   r.Str(&out->query);
   out->partition.reset();
-  switch (r.Remaining()) {
-    case 0:  // old client, no trailing byte
-      if (!r.Done()) return Truncated("SUBMIT");
-      out->version = kSubmitVersionV1;
-      break;
-    case 1:  // version byte only; a partition version demands its scope
-      if (!r.U8(&out->version) || !r.Done() ||
-          out->version <= kSubmitVersionV1 ||
-          out->version == kSubmitVersionPartition) {
-        return Truncated("SUBMIT");
-      }
-      break;
-    case 17: {  // partition scope (4+4+8) + version byte
-      PartitionScope scope;
-      r.U32(&scope.num_parts);
-      r.U32(&scope.part_id);
-      r.U64(&scope.seed);
-      if (!r.U8(&out->version) || !r.Done() ||
-          out->version != kSubmitVersionPartition || scope.num_parts < 1 ||
-          scope.part_id >= scope.num_parts) {
-        return Truncated("SUBMIT");
-      }
-      out->partition = scope;
-      break;
-    }
-    default:
-      return Truncated("SUBMIT");
+  if ((flags & ~kSubmitFlagsKnown) != 0) {
+    return Status::InvalidArgument("SUBMIT carries unknown flag bits " +
+                                   std::to_string(flags & ~kSubmitFlagsKnown));
   }
-  out->stream_embeddings = (flags & kFlagStreamEmbeddings) != 0;
+  if ((flags & kSubmitFlagPartition) != 0) {
+    PartitionScope scope;
+    r.U32(&scope.num_parts);
+    r.U32(&scope.part_id);
+    r.U64(&scope.seed);
+    // An invalid scope would filter against a nonsense partitioning.
+    if (scope.num_parts < 1 || scope.part_id >= scope.num_parts) {
+      return Truncated("SUBMIT");
+    }
+    out->partition = scope;
+  }
+  if (!r.Done()) return Truncated("SUBMIT");
+  out->stream_embeddings = (flags & kSubmitFlagStream) != 0;
   return Status::OK();
 }
 
@@ -353,9 +329,6 @@ std::string EncodeStatusInfo(const StatusInfo& info) {
   w.U32(info.queue_depth);
   w.U32(info.active_requests);
   w.U8(info.draining ? 1 : 0);
-  // Pre-SUBSCRIBE payloads end at the draining byte; the continuous-query
-  // counters are a fixed-width suffix the decoder selects by Remaining(),
-  // like SUBMIT's versioned tail.
   w.U32(info.subscriptions_active);
   w.U64(info.updates_received);
   w.U64(info.delta_frames_sent);
@@ -377,20 +350,9 @@ Status DecodeStatusInfo(std::string_view payload, StatusInfo* out) {
   r.U32(&out->queue_depth);
   r.U32(&out->active_requests);
   r.U8(&draining);
-  out->subscriptions_active = 0;
-  out->updates_received = 0;
-  out->delta_frames_sent = 0;
-  switch (r.Remaining()) {
-    case 0:  // legacy server, no continuous-query suffix
-      break;
-    case 20:  // 4 + 8 + 8
-      r.U32(&out->subscriptions_active);
-      r.U64(&out->updates_received);
-      r.U64(&out->delta_frames_sent);
-      break;
-    default:
-      return Truncated("STATUS_INFO");
-  }
+  r.U32(&out->subscriptions_active);
+  r.U64(&out->updates_received);
+  r.U64(&out->delta_frames_sent);
   if (!r.Done()) return Truncated("STATUS_INFO");
   out->draining = draining != 0;
   return Status::OK();
@@ -560,19 +522,15 @@ std::string EncodeWorkerHelloAck(const WorkerHelloAck& ack) {
   w.U8(ack.version);
   w.U32(ack.num_vertices);
   w.U64(ack.num_edges);
-  w.U8(ack.supports_partition ? 1 : 0);
   return std::move(w).Take();
 }
 
 Status DecodeWorkerHelloAck(std::string_view payload, WorkerHelloAck* out) {
   WireReader r(payload);
-  std::uint8_t supports = 0;
   r.U8(&out->version);
   r.U32(&out->num_vertices);
   r.U64(&out->num_edges);
-  r.U8(&supports);
   if (!r.Done()) return Truncated("WORKER_HELLO_ACK");
-  out->supports_partition = supports != 0;
   return Status::OK();
 }
 

@@ -35,9 +35,12 @@
 ///
 /// WORKER_HELLO / WORKER_HELLO_ACK is the coordinator -> worker handshake
 /// (DESIGN.md §13): the coordinator states its hello version and the graph
-/// shape it partitioned; the worker answers with the shape it serves and
-/// whether it accepts partition-scoped SUBMITs, so shape or version skew
-/// fails fast instead of merging counts from the wrong graph.
+/// shape it partitioned; the worker answers with its version and the shape
+/// it serves, so shape or version skew fails fast instead of merging counts
+/// from the wrong graph.
+///
+/// Every payload has one fixed layout and decoders demand it exactly: a
+/// truncated, extended or foreign payload fails typed (PROTOCOL_ERROR).
 
 #include <cstdint>
 #include <optional>
@@ -101,16 +104,13 @@ const char* WireCodeName(WireCode code);
 /// and is resolved by the service, not here.
 WireCode WireCodeFor(const Status& status);
 
-/// SUBMIT payload versions. v1 ends at the query string; v2 appends a
-/// trailing u8 version byte and declares the client speaks the labeled
-/// query syntax ("0-1,0=3" / "triangle@3,3,*"); v3 inserts a partition
-/// scope (num_parts, part_id, seed) between the query and the version
-/// byte — the coordinator -> worker dispatch form. Decoders accept all
-/// three: a payload ending at the query is v1, a single trailing byte is
-/// v2, and a trailing byte of 3 is preceded by the scope fields.
-inline constexpr std::uint8_t kSubmitVersionV1 = 1;
-inline constexpr std::uint8_t kSubmitVersionLabeled = 2;
-inline constexpr std::uint8_t kSubmitVersionPartition = 3;
+/// SUBMIT flag bits (u8). Bits outside kSubmitFlagsKnown are rejected.
+inline constexpr std::uint8_t kSubmitFlagStream = 0x1;
+/// A 16-byte partition scope (u32 num_parts, u32 part_id, u64 seed)
+/// follows the query string — the coordinator -> worker dispatch form.
+inline constexpr std::uint8_t kSubmitFlagPartition = 0x2;
+inline constexpr std::uint8_t kSubmitFlagsKnown =
+    kSubmitFlagStream | kSubmitFlagPartition;
 
 /// Partition scope of a coordinator-dispatched sub-query: the worker
 /// enumerates the shared graph but reports only embeddings touching
@@ -123,19 +123,16 @@ struct PartitionScope {
   std::uint64_t seed = 0;
 };
 
-/// SUBMIT payload.
+/// SUBMIT payload: u64 request_id, u32 deadline_ms, u32 max_embeddings,
+/// u8 flags, query string, then the partition scope when flagged.
 struct SubmitRequest {
   std::uint64_t request_id = 0;
   std::uint32_t deadline_ms = 0;     // 0 = no deadline
   std::uint32_t max_embeddings = 0;  // cap on streamed embeddings (0 = all)
   bool stream_embeddings = false;    // also stream EMBEDDINGS batches
   std::string query;                 // query/parser.h text form (labels ok)
-  /// Present on v3 payloads only (coordinator -> worker sub-queries).
+  /// Coordinator -> worker sub-queries only (kSubmitFlagPartition).
   std::optional<PartitionScope> partition = std::nullopt;
-  /// Payload version: kSubmitVersionV1 payloads omit the trailing byte
-  /// (old clients); encoders only append it when > v1, and force
-  /// kSubmitVersionPartition whenever `partition` is set.
-  std::uint8_t version = kSubmitVersionLabeled;
 };
 
 /// REJECTED and ERROR payload (ERROR uses request_id 0 when unknown).
@@ -189,9 +186,6 @@ struct StatusInfo {
   std::uint32_t queue_depth = 0;
   std::uint32_t active_requests = 0;
   bool draining = false;
-  /// Continuous-query suffix (absent on pre-SUBSCRIBE payloads, which end
-  /// at the draining byte; the decoder discriminates by the exact suffix
-  /// width, like SUBMIT's version byte).
   std::uint32_t subscriptions_active = 0;
   std::uint64_t updates_received = 0;
   std::uint64_t delta_frames_sent = 0;
@@ -293,9 +287,8 @@ std::string EncodeUpdateAck(const UpdateAck& ack);
 Status DecodeUpdateAck(std::string_view payload, UpdateAck* out);
 
 /// Version of the WORKER_HELLO handshake this build speaks. The hello
-/// carries its version first, so — like the SUBMIT trailing byte — a
-/// newer coordinator is detected as typed version skew instead of a
-/// garbled decode.
+/// carries its version first, so a coordinator of another version is
+/// detected as typed version skew instead of a garbled decode.
 inline constexpr std::uint8_t kWorkerHelloVersion = 1;
 
 /// WORKER_HELLO payload (coordinator -> worker): the graph shape the
@@ -313,10 +306,6 @@ struct WorkerHelloAck {
   std::uint8_t version = kWorkerHelloVersion;
   std::uint32_t num_vertices = 0;
   std::uint64_t num_edges = 0;
-  /// False when this worker predates partition-scoped SUBMITs; the
-  /// coordinator fails the handshake rather than receive unfiltered
-  /// (duplicate-heavy) streams.
-  bool supports_partition = false;
 };
 
 /// PARTIAL_RESULT payload: sent by a coordinator immediately before a

@@ -1,16 +1,7 @@
 #include "service/query_service.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "distsim/partitioner.h"
@@ -24,91 +15,41 @@
 namespace dualsim::service {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
+/// The service's metrics beyond the shell's shared `service.*` set.
 struct ServiceMetrics {
-  obs::Counter* received;
-  obs::Counter* admitted;
-  obs::Counter* rejected_overload;
-  obs::Counter* rejected_draining;
-  obs::Counter* rejected_invalid;
-  obs::Counter* completed;
-  obs::Counter* failed;
-  obs::Counter* cancelled;
-  obs::Counter* deadline_expired;
-  obs::Counter* connections;
   obs::Counter* progress_frames;
-  obs::Counter* embeddings_streamed;
-  obs::Counter* drains;
   obs::Counter* subscriptions;
   obs::Counter* updates;
   obs::Counter* delta_frames;
   obs::Gauge* queue_depth;
-  obs::Gauge* active_requests;
   obs::Gauge* subscriptions_active;
-  obs::Histogram* request_latency_us;
   obs::Histogram* queue_wait_us;
 };
 
 ServiceMetrics& Metrics() {
   static ServiceMetrics m{
-      obs::Metrics().GetCounter("service.requests_received"),
-      obs::Metrics().GetCounter("service.requests_admitted"),
-      obs::Metrics().GetCounter("service.requests_rejected_overload"),
-      obs::Metrics().GetCounter("service.requests_rejected_draining"),
-      obs::Metrics().GetCounter("service.requests_rejected_invalid"),
-      obs::Metrics().GetCounter("service.requests_completed"),
-      obs::Metrics().GetCounter("service.requests_failed"),
-      obs::Metrics().GetCounter("service.requests_cancelled"),
-      obs::Metrics().GetCounter("service.requests_deadline_expired"),
-      obs::Metrics().GetCounter("service.connections"),
       obs::Metrics().GetCounter("service.progress_frames"),
-      obs::Metrics().GetCounter("service.embeddings_streamed"),
-      obs::Metrics().GetCounter("service.drains"),
       obs::Metrics().GetCounter("service.subscriptions"),
       obs::Metrics().GetCounter("service.updates"),
       obs::Metrics().GetCounter("service.delta_frames"),
       obs::Metrics().GetGauge("service.queue_depth"),
-      obs::Metrics().GetGauge("service.active_requests"),
       obs::Metrics().GetGauge("service.subscriptions_active"),
-      obs::Metrics().GetHistogram("service.request_latency_us"),
       obs::Metrics().GetHistogram("service.queue_wait_us"),
   };
   return m;
 }
 
-/// Why a request was asked to stop (Request::cancel_reason).
-enum CancelReason : int {
-  kReasonNone = 0,
-  kReasonClient = 1,    // CANCEL frame
-  kReasonDeadline = 2,  // per-request deadline expired
-  kReasonDrain = 3,     // shutdown drain gave up waiting
-};
-
-WireCode CodeForReason(int reason) {
-  switch (reason) {
-    case kReasonDeadline:
-      return WireCode::kDeadlineExceeded;
-    case kReasonDrain:
-      return WireCode::kShuttingDown;
-    default:
-      return WireCode::kCancelled;
-  }
-}
-
-std::uint64_t ElapsedUs(Clock::time_point since) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                            since)
-          .count());
-}
-
-/// Embeddings streamed per EMBEDDINGS frame.
-constexpr std::size_t kEmbeddingBatchSize = 64;
-
 /// Vertex ids per DELTA chunk (added + retracted combined); keeps every
 /// chunk far below kMaxFramePayload.
 constexpr std::size_t kDeltaChunkVertices = 16 * 1024;
+
+SessionOptions SessionOptionsFor(const ServiceOptions& options) {
+  SessionOptions sopt;
+  sopt.max_frames = options.session_max_frames;
+  sopt.paper_buffer_allocation = options.paper_buffer_allocation;
+  sopt.plan = options.plan;
+  return sopt;
+}
 
 }  // namespace
 
@@ -122,37 +63,6 @@ StatusOr<std::unique_ptr<DiskGraph>> OpenServedGraph(const std::string& path) {
   return disk;
 }
 
-/// One accepted TCP connection. Frames may be written by the connection's
-/// reader thread, by workers, and by the watchdog; write_mu keeps frames
-/// atomic on the wire. Lock order: QueryService::mu_ before write_mu
-/// (never the reverse — Send never takes mu_).
-struct QueryService::Connection {
-  explicit Connection(int fd_in) : fd(fd_in) {}
-  ~Connection() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  Status Send(FrameType type, std::string_view payload) {
-    std::lock_guard<std::mutex> lock(write_mu);
-    if (!open.load(std::memory_order_relaxed)) {
-      return Status::IOError("connection closed");
-    }
-    Status s = WriteFrame(fd, type, payload);
-    if (!s.ok()) open.store(false, std::memory_order_relaxed);
-    return s;
-  }
-
-  /// Unblocks the reader thread; the fd itself is closed by ~Connection.
-  void ShutdownSocket() {
-    open.store(false, std::memory_order_relaxed);
-    ::shutdown(fd, SHUT_RDWR);
-  }
-
-  int fd;
-  std::mutex write_mu;
-  std::atomic<bool> open{true};
-};
-
 /// One admitted (or about-to-be-admitted) SUBMIT.
 struct QueryService::Request {
   std::uint64_t id = 0;
@@ -162,10 +72,10 @@ struct QueryService::Request {
   Clock::time_point deadline{};
   bool stream_embeddings = false;
   std::uint32_t max_embeddings = 0;
-  /// v3 SUBMIT scope: count/stream only embeddings touching this part.
+  /// SUBMIT scope: count/stream only embeddings touching this part.
   std::optional<PartitionScope> partition = std::nullopt;
   Clock::time_point received_at{};
-  /// CancelReason; first writer wins (CAS from kReasonNone).
+  /// CancelReason (service/front_end.h).
   std::atomic<int> cancel_reason{kReasonNone};
   /// Set by the worker while the session runs; guarded by the service's
   /// mu_ so CANCEL / the watchdog never race the session's destruction.
@@ -187,12 +97,23 @@ struct QueryService::Subscription {
 };
 
 QueryService::QueryService(Runtime* runtime, ServiceOptions options)
-    : runtime_(runtime), options_(std::move(options)) {}
+    : runtime_(runtime),
+      options_(std::move(options)),
+      shell_("service", options_.metrics_path,
+             {[this](const std::shared_ptr<Connection>& conn,
+                     const Frame& frame) { return HandleFrame(conn, frame); },
+              [this] { DrainInFlight(); }, [this] { ExpireDeadlines(); },
+              [this](const std::shared_ptr<Connection>& conn) {
+                // A silently-closed connection takes its subscriptions with
+                // it; nobody is listening for their terminal frames.
+                DropSubscriptionsOf(conn);
+              },
+              [this](StatusInfo* info) { FillStatus(info); }}) {}
 
 QueryService::~QueryService() { Stop(); }
 
 Status QueryService::Start() {
-  if (started_.load()) {
+  if (!workers_.empty()) {
     return Status::FailedPrecondition("service already started");
   }
   if (runtime_ == nullptr) {
@@ -209,46 +130,8 @@ Status QueryService::Start() {
         "ServiceOptions::max_queue_depth must be >= 1 (load shedding needs "
         "at least one queue slot)");
   }
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad bind address '" +
-                                   options_.bind_address + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    Status s = Status::IOError("bind " + options_.bind_address + ":" +
-                               std::to_string(options_.port) + ": " +
-                               std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    Status s = Status::IOError(std::string("listen: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
-
-  started_.store(true);
-  acceptor_ = std::thread([this] { AcceptorLoop(); });
-  watchdog_ = std::thread([this] { WatchdogLoop(); });
+  DUALSIM_RETURN_IF_ERROR(
+      shell_.Start(options_.bind_address, options_.port));
   workers_.reserve(static_cast<std::size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -256,102 +139,58 @@ Status QueryService::Start() {
   return Status::OK();
 }
 
-void QueryService::AcceptorLoop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      // BeginDrain shuts the listening socket down; every other error on
-      // a healthy listener is transient.
-      if (draining_.load() || stopping_.load()) return;
-      continue;
+void QueryService::Stop() {
+  shell_.Stop([this] {
+    {
+      // Under mu_, no worker sits between its predicate check and its wait.
+      std::lock_guard<std::mutex> lock(mu_);
+      work_cv_.notify_all();
     }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    Metrics().connections->Increment();
-    auto conn = std::make_shared<Connection>(fd);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (draining_.load()) {
-      conn->ShutdownSocket();
-      continue;
+    for (std::thread& w : workers_) {
+      if (w.joinable()) w.join();
     }
-    connections_.push_back(conn);
-    conn_threads_.emplace_back(
-        [this, conn]() mutable { ConnectionLoop(std::move(conn)); });
-  }
+  });
 }
 
-void QueryService::ConnectionLoop(std::shared_ptr<Connection> conn) {
-  for (;;) {
-    auto frame_or = ReadFrame(conn->fd);
-    if (!frame_or.ok()) {
-      // NotFound = clean close; anything else poisons the connection. An
-      // oversized header gets a parting ERROR so the client knows why.
-      if (frame_or.status().code() == StatusCode::kInvalidArgument) {
-        conn->Send(FrameType::kError,
-                   EncodeReject({0, WireCode::kProtocolError,
-                                 frame_or.status().message()}));
-      }
-      break;
-    }
-    const Frame& frame = frame_or.value();
-    switch (frame.type) {
-      case FrameType::kSubmit:
-        HandleSubmit(conn, frame.payload);
-        break;
-      case FrameType::kCancel:
-        HandleCancel(conn, frame.payload);
-        break;
-      case FrameType::kStatus:
-        conn->Send(FrameType::kStatusInfo, EncodeStatusInfo(Snapshot()));
-        break;
-      case FrameType::kShutdown:
-        HandleShutdown(conn);
-        break;
-      case FrameType::kWorkerHello:
-        HandleWorkerHello(conn, frame.payload);
-        break;
-      case FrameType::kSubscribe:
-        HandleSubscribe(conn, frame.payload);
-        break;
-      case FrameType::kUpdate:
-        HandleUpdate(conn, frame.payload);
-        break;
-      case FrameType::kUnsubscribe:
-        HandleUnsubscribe(conn, frame.payload);
-        break;
-      default:
-        conn->Send(FrameType::kError,
-                   EncodeReject({0, WireCode::kProtocolError,
-                                 std::string("unexpected frame ") +
-                                     FrameTypeName(frame.type)}));
-        break;
-    }
+bool QueryService::HandleFrame(const std::shared_ptr<Connection>& conn,
+                               const Frame& frame) {
+  switch (frame.type) {
+    case FrameType::kSubmit:
+      HandleSubmit(conn, frame.payload);
+      return true;
+    case FrameType::kCancel:
+      HandleCancel(conn, frame.payload);
+      return true;
+    case FrameType::kWorkerHello:
+      HandleWorkerHello(*conn, frame.payload);
+      return true;
+    case FrameType::kSubscribe:
+      HandleSubscribe(conn, frame.payload);
+      return true;
+    case FrameType::kUpdate:
+      HandleUpdate(*conn, frame.payload);
+      return true;
+    case FrameType::kUnsubscribe:
+      HandleUnsubscribe(conn, frame.payload);
+      return true;
+    default:
+      return false;
   }
-  conn->ShutdownSocket();
-  // A silently-closed connection takes its subscriptions with it; they
-  // are counted cancelled without a terminal frame (nobody is listening).
-  DropSubscriptionsOf(conn);
 }
 
 void QueryService::HandleSubmit(const std::shared_ptr<Connection>& conn,
                                 std::string_view payload) {
   SubmitRequest submit;
   if (Status s = DecodeSubmit(payload, &submit); !s.ok()) {
-    conn->Send(FrameType::kError,
-               EncodeReject({0, WireCode::kProtocolError, s.message()}));
+    conn->SendProtocolError(s.message());
     return;
   }
-  ledger_.received.fetch_add(1, std::memory_order_relaxed);
-  Metrics().received->Increment();
+  shell_.CountReceived();
 
   auto query = ParseQuery(submit.query);
   if (!query.ok()) {
-    ledger_.rejected_invalid.fetch_add(1, std::memory_order_relaxed);
-    Metrics().rejected_invalid->Increment();
-    conn->Send(FrameType::kRejected,
-               EncodeReject({submit.request_id, WireCode::kInvalidQuery,
-                             query.status().message()}));
+    shell_.Reject(*conn, submit.request_id, WireCode::kInvalidQuery,
+                  query.status().message());
     return;
   }
 
@@ -374,25 +213,18 @@ void QueryService::HandleSubmit(const std::shared_ptr<Connection>& conn,
   // same request (lock order: mu_ -> Connection::write_mu).
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (draining_.load()) {
-      ledger_.rejected_draining.fetch_add(1, std::memory_order_relaxed);
-      Metrics().rejected_draining->Increment();
-      conn->Send(FrameType::kRejected,
-                 EncodeReject({req->id, WireCode::kShuttingDown,
-                               "service is draining"}));
+    if (shell_.draining()) {
+      shell_.Reject(*conn, req->id, WireCode::kShuttingDown,
+                    "service is draining");
       return;
     }
     if (queue_.size() >= options_.max_queue_depth) {
-      ledger_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
-      Metrics().rejected_overload->Increment();
-      conn->Send(FrameType::kRejected,
-                 EncodeReject({req->id, WireCode::kOverloaded,
-                               "admission queue full (depth " +
-                                   std::to_string(queue_.size()) + ")"}));
+      shell_.Reject(*conn, req->id, WireCode::kOverloaded,
+                    "admission queue full (depth " +
+                        std::to_string(queue_.size()) + ")");
       return;
     }
-    ledger_.admitted.fetch_add(1, std::memory_order_relaxed);
-    Metrics().admitted->Increment();
+    shell_.CountAdmitted();
     conn->Send(FrameType::kAccepted, EncodeAccepted(req->id));
     queue_.push_back(std::move(req));
     Metrics().queue_depth->Set(static_cast<std::int64_t>(queue_.size()));
@@ -404,8 +236,7 @@ void QueryService::HandleCancel(const std::shared_ptr<Connection>& conn,
                                 std::string_view payload) {
   std::uint64_t id = 0;
   if (Status s = DecodeCancel(payload, &id); !s.ok()) {
-    conn->Send(FrameType::kError,
-               EncodeReject({0, WireCode::kProtocolError, s.message()}));
+    conn->SendProtocolError(s.message());
     return;
   }
   std::shared_ptr<Request> queued;
@@ -438,12 +269,11 @@ void QueryService::HandleCancel(const std::shared_ptr<Connection>& conn,
   idle_cv_.notify_all();
 }
 
-void QueryService::HandleWorkerHello(const std::shared_ptr<Connection>& conn,
+void QueryService::HandleWorkerHello(Connection& conn,
                                      std::string_view payload) {
   WorkerHello hello;
   if (Status s = DecodeWorkerHello(payload, &hello); !s.ok()) {
-    conn->Send(FrameType::kError,
-               EncodeReject({0, WireCode::kProtocolError, s.message()}));
+    conn.SendProtocolError(s.message());
     return;
   }
   // The ack always states *this* worker's truth; shape or version skew is
@@ -452,8 +282,7 @@ void QueryService::HandleWorkerHello(const std::shared_ptr<Connection>& conn,
   ack.version = kWorkerHelloVersion;
   ack.num_vertices = runtime_->disk()->num_vertices();
   ack.num_edges = static_cast<std::uint64_t>(runtime_->disk()->num_edges());
-  ack.supports_partition = true;
-  conn->Send(FrameType::kWorkerHelloAck, EncodeWorkerHelloAck(ack));
+  conn.Send(FrameType::kWorkerHelloAck, EncodeWorkerHelloAck(ack));
 }
 
 namespace {
@@ -472,21 +301,16 @@ void QueryService::HandleSubscribe(const std::shared_ptr<Connection>& conn,
                                    std::string_view payload) {
   SubscribeRequest request;
   if (Status s = DecodeSubscribe(payload, &request); !s.ok()) {
-    conn->Send(FrameType::kError,
-               EncodeReject({0, WireCode::kProtocolError, s.message()}));
+    conn->SendProtocolError(s.message());
     return;
   }
-  ledger_.received.fetch_add(1, std::memory_order_relaxed);
-  Metrics().received->Increment();
+  shell_.CountReceived();
   Metrics().subscriptions->Increment();
 
   auto query = ParseQuery(request.query);
   if (!query.ok()) {
-    ledger_.rejected_invalid.fetch_add(1, std::memory_order_relaxed);
-    Metrics().rejected_invalid->Increment();
-    conn->Send(FrameType::kRejected,
-               EncodeReject({request.request_id, WireCode::kInvalidQuery,
-                             query.status().message()}));
+    shell_.Reject(*conn, request.request_id, WireCode::kInvalidQuery,
+                  query.status().message());
     return;
   }
 
@@ -505,26 +329,18 @@ void QueryService::HandleSubscribe(const std::shared_ptr<Connection>& conn,
   std::lock_guard<std::mutex> incr_lock(incr.mu);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (draining_.load()) {
-      ledger_.rejected_draining.fetch_add(1, std::memory_order_relaxed);
-      Metrics().rejected_draining->Increment();
-      conn->Send(FrameType::kRejected,
-                 EncodeReject({sub->id, WireCode::kShuttingDown,
-                               "service is draining"}));
+    if (shell_.draining()) {
+      shell_.Reject(*conn, sub->id, WireCode::kShuttingDown,
+                    "service is draining");
       return;
     }
     if (subscriptions_.size() >= options_.max_subscriptions) {
-      ledger_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
-      Metrics().rejected_overload->Increment();
-      conn->Send(FrameType::kRejected,
-                 EncodeReject({sub->id, WireCode::kOverloaded,
-                               "subscription cap reached (" +
-                                   std::to_string(subscriptions_.size()) +
-                                   " live)"}));
+      shell_.Reject(*conn, sub->id, WireCode::kOverloaded,
+                    "subscription cap reached (" +
+                        std::to_string(subscriptions_.size()) + " live)");
       return;
     }
-    ledger_.admitted.fetch_add(1, std::memory_order_relaxed);
-    Metrics().admitted->Increment();
+    shell_.CountAdmitted();
     conn->Send(FrameType::kAccepted, EncodeAccepted(sub->id));
     subscriptions_.push_back(sub);
     Metrics().subscriptions_active->Set(
@@ -541,14 +357,7 @@ void QueryService::HandleSubscribe(const std::shared_ptr<Connection>& conn,
       Metrics().subscriptions_active->Set(
           static_cast<std::int64_t>(subscriptions_.size()));
     }
-    ResultFrame out;
-    out.request_id = sub->id;
-    out.code = WireCodeFor(initial.status());
-    if (out.code == WireCode::kOk) out.code = WireCode::kInternalError;
-    out.message = initial.status().ToString();
-    out.elapsed_us = ElapsedUs(sub->received_at);
-    CountResult(out.code);
-    conn->Send(FrameType::kResult, EncodeResult(out));
+    FailSubscription(*sub, initial.status());
     return;
   }
   // Go-live marker: the initial count; everything after this frame is
@@ -564,41 +373,17 @@ StatusOr<std::uint64_t> QueryService::RunInitialSubscription(
     // Pristine overlay: the composed view IS the base graph, so the
     // initial run goes through a regular QuerySession — full engine,
     // plan cache, paper buffer allocation.
-    SessionOptions sopt;
-    sopt.max_frames = options_.session_max_frames;
-    sopt.paper_buffer_allocation = options_.paper_buffer_allocation;
-    sopt.plan = options_.plan;
-    QuerySession session(runtime_, std::move(sopt));
+    QuerySession session(runtime_, SessionOptionsFor(options_));
     if (!stream) {
       DUALSIM_ASSIGN_OR_RETURN(EngineStats stats, session.Run(sub->query));
       return stats.embeddings;
     }
-    struct Batcher {
-      std::mutex mu;
-      EmbeddingBatch batch;
-      Connection* conn = nullptr;
-      void Flush() {
-        if (batch.vertices.empty()) return;
-        Metrics().embeddings_streamed->Increment(batch.vertices.size() /
-                                                 batch.arity);
-        conn->Send(FrameType::kEmbeddings, EncodeEmbeddings(batch));
-        batch.vertices.clear();
-      }
-    } batcher;
-    batcher.batch.request_id = sub->id;
-    batcher.batch.arity = sub->query.NumVertices();
-    batcher.conn = sub->conn.get();
-    auto run = session.Run(sub->query, [&](std::span<const VertexId> m) {
-      std::lock_guard<std::mutex> lock(batcher.mu);
-      batcher.batch.vertices.insert(batcher.batch.vertices.end(), m.begin(),
-                                    m.end());
-      if (batcher.batch.vertices.size() >=
-          kEmbeddingBatchSize * batcher.batch.arity) {
-        batcher.Flush();
-      }
-    });
+    EmbeddingBatcher batcher(sub->conn.get(), sub->id,
+                             sub->query.NumVertices(), /*cap=*/0,
+                             shell_.metrics().embeddings_streamed);
+    auto run = session.Run(
+        sub->query, [&](std::span<const VertexId> m) { batcher.Add(m); });
     DUALSIM_RETURN_IF_ERROR(run.status());
-    std::lock_guard<std::mutex> lock(batcher.mu);
     batcher.Flush();
     return run->embeddings;
   }
@@ -614,23 +399,11 @@ StatusOr<std::uint64_t> QueryService::RunInitialSubscription(
   DUALSIM_ASSIGN_OR_RETURN(std::vector<Embedding> all,
                            pass.EnumerateAll(sub->query, sub->orders));
   if (stream) {
-    EmbeddingBatch batch;
-    batch.request_id = sub->id;
-    batch.arity = sub->query.NumVertices();
-    for (const Embedding& m : all) {
-      batch.vertices.insert(batch.vertices.end(), m.begin(), m.end());
-      if (batch.vertices.size() >= kEmbeddingBatchSize * batch.arity) {
-        Metrics().embeddings_streamed->Increment(batch.vertices.size() /
-                                                 batch.arity);
-        sub->conn->Send(FrameType::kEmbeddings, EncodeEmbeddings(batch));
-        batch.vertices.clear();
-      }
-    }
-    if (!batch.vertices.empty()) {
-      Metrics().embeddings_streamed->Increment(batch.vertices.size() /
-                                               batch.arity);
-      sub->conn->Send(FrameType::kEmbeddings, EncodeEmbeddings(batch));
-    }
+    EmbeddingBatcher batcher(sub->conn.get(), sub->id,
+                             sub->query.NumVertices(), /*cap=*/0,
+                             shell_.metrics().embeddings_streamed);
+    for (const Embedding& m : all) batcher.Add(m);
+    batcher.Flush();
   }
   return static_cast<std::uint64_t>(all.size());
 }
@@ -674,20 +447,18 @@ std::uint64_t QueryService::SendDeltaChain(const Subscription& sub,
     ++frames;
     if (final) break;
   }
-  ledger_.delta_frames_sent.fetch_add(frames, std::memory_order_relaxed);
+  delta_frames_sent_.fetch_add(frames, std::memory_order_relaxed);
   Metrics().delta_frames->Increment(frames);
   return frames;
 }
 
-void QueryService::HandleUpdate(const std::shared_ptr<Connection>& conn,
-                                std::string_view payload) {
+void QueryService::HandleUpdate(Connection& conn, std::string_view payload) {
   UpdateRequest update;
   if (Status s = DecodeUpdate(payload, &update); !s.ok()) {
-    conn->Send(FrameType::kError,
-               EncodeReject({0, WireCode::kProtocolError, s.message()}));
+    conn.SendProtocolError(s.message());
     return;
   }
-  ledger_.updates_received.fetch_add(1, std::memory_order_relaxed);
+  updates_received_.fetch_add(1, std::memory_order_relaxed);
   Metrics().updates->Increment();
 
   // The whole pipeline — flush, apply, fan out — runs on this connection
@@ -701,14 +472,14 @@ void QueryService::HandleUpdate(const std::shared_ptr<Connection>& conn,
 
   auto lease = runtime_->Admit(1, options_.incr_max_frames);
   if (!lease.ok()) {
-    conn->Send(FrameType::kError,
+    conn.Send(FrameType::kError,
                EncodeReject({update.request_id, WireCode::kInternalError,
                              lease.status().ToString()}));
     return;
   }
   auto applied = incr.overlay->ApplyBatch(batch, lease->pool());
   if (!applied.ok()) {
-    conn->Send(FrameType::kError,
+    conn.Send(FrameType::kError,
                EncodeReject({update.request_id,
                              WireCodeFor(applied.status()),
                              applied.status().message()}));
@@ -737,14 +508,7 @@ void QueryService::HandleUpdate(const std::shared_ptr<Connection>& conn,
     auto diff = pass.Run(sub->query, sub->orders, *applied);
     if (!diff.ok()) {
       broken.push_back(sub);
-      ResultFrame out;
-      out.request_id = sub->id;
-      out.code = WireCodeFor(diff.status());
-      if (out.code == WireCode::kOk) out.code = WireCode::kInternalError;
-      out.message = diff.status().ToString();
-      out.elapsed_us = ElapsedUs(sub->received_at);
-      CountResult(out.code);
-      sub->conn->Send(FrameType::kResult, EncodeResult(out));
+      FailSubscription(*sub, diff.status());
       continue;
     }
     SendDeltaChain(*sub, applied->sequence, *diff);
@@ -763,15 +527,14 @@ void QueryService::HandleUpdate(const std::shared_ptr<Connection>& conn,
     Metrics().subscriptions_active->Set(
         static_cast<std::int64_t>(subscriptions_.size()));
   }
-  conn->Send(FrameType::kUpdateAck, EncodeUpdateAck(ack));
+  conn.Send(FrameType::kUpdateAck, EncodeUpdateAck(ack));
 }
 
 void QueryService::HandleUnsubscribe(const std::shared_ptr<Connection>& conn,
                                      std::string_view payload) {
   std::uint64_t id = 0;
   if (Status s = DecodeUnsubscribe(payload, &id); !s.ok()) {
-    conn->Send(FrameType::kError,
-               EncodeReject({0, WireCode::kProtocolError, s.message()}));
+    conn->SendProtocolError(s.message());
     return;
   }
   std::shared_ptr<Subscription> found;
@@ -796,7 +559,7 @@ void QueryService::HandleUnsubscribe(const std::shared_ptr<Connection>& conn,
   out.embeddings =
       found->diffs_pushed.load(std::memory_order_relaxed);  // chains sent
   out.elapsed_us = ElapsedUs(found->received_at);
-  CountResult(WireCode::kOk);
+  shell_.CountResult(WireCode::kOk);
   conn->Send(FrameType::kResult, EncodeResult(out));
 }
 
@@ -816,7 +579,9 @@ void QueryService::DropSubscriptionsOf(
     Metrics().subscriptions_active->Set(
         static_cast<std::int64_t>(subscriptions_.size()));
   }
-  for (std::size_t i = 0; i < dropped; ++i) CountResult(WireCode::kCancelled);
+  for (std::size_t i = 0; i < dropped; ++i) {
+    shell_.CountResult(WireCode::kCancelled);
+  }
 }
 
 void QueryService::EndAllSubscriptions(WireCode code,
@@ -834,21 +599,21 @@ void QueryService::EndAllSubscriptions(WireCode code,
     out.message = message;
     out.embeddings = sub->diffs_pushed.load(std::memory_order_relaxed);
     out.elapsed_us = ElapsedUs(sub->received_at);
-    CountResult(code);
+    shell_.CountResult(code);
     sub->conn->Send(FrameType::kResult, EncodeResult(out));
   }
 }
 
-void QueryService::HandleShutdown(const std::shared_ptr<Connection>& conn) {
-  BeginDrain();
-  DrainInFlight();
-  FlushMetricsOnce();
-  conn->Send(FrameType::kShutdownAck, {});
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_requested_ = true;
-  }
-  shutdown_cv_.notify_all();
+void QueryService::FailSubscription(const Subscription& sub,
+                                    const Status& status) {
+  ResultFrame out;
+  out.request_id = sub.id;
+  out.code = WireCodeFor(status);
+  if (out.code == WireCode::kOk) out.code = WireCode::kInternalError;
+  out.message = status.ToString();
+  out.elapsed_us = ElapsedUs(sub.received_at);
+  shell_.CountResult(out.code);
+  sub.conn->Send(FrameType::kResult, EncodeResult(out));
 }
 
 void QueryService::WorkerLoop() {
@@ -856,20 +621,22 @@ void QueryService::WorkerLoop() {
     std::shared_ptr<Request> req;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock,
-                    [this] { return stopping_.load() || !queue_.empty(); });
+      work_cv_.wait(
+          lock, [this] { return shell_.stopping() || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping and drained
       req = queue_.front();
       queue_.pop_front();
       Metrics().queue_depth->Set(static_cast<std::int64_t>(queue_.size()));
       active_.push_back(req);
-      Metrics().active_requests->Set(static_cast<std::int64_t>(active_.size()));
+      shell_.metrics().active_requests->Set(
+          static_cast<std::int64_t>(active_.size()));
     }
     const std::string result_payload = RunRequest(req);
     {
       std::lock_guard<std::mutex> lock(mu_);
       active_.erase(std::find(active_.begin(), active_.end(), req));
-      Metrics().active_requests->Set(static_cast<std::int64_t>(active_.size()));
+      shell_.metrics().active_requests->Set(
+          static_cast<std::int64_t>(active_.size()));
     }
     req->conn->Send(FrameType::kResult, result_payload);
     idle_cv_.notify_all();
@@ -884,7 +651,7 @@ std::string QueryService::RunRequest(const std::shared_ptr<Request>& req) {
   if (int reason = req->cancel_reason.load(std::memory_order_relaxed);
       reason != kReasonNone) {
     const WireCode code = CodeForReason(reason);
-    CountResult(code);
+    shell_.CountResult(code);
     ResultFrame out;
     out.request_id = req->id;
     out.code = code;
@@ -893,10 +660,7 @@ std::string QueryService::RunRequest(const std::shared_ptr<Request>& req) {
     return EncodeResult(out);
   }
 
-  SessionOptions sopt;
-  sopt.max_frames = options_.session_max_frames;
-  sopt.paper_buffer_allocation = options_.paper_buffer_allocation;
-  sopt.plan = options_.plan;
+  SessionOptions sopt = SessionOptionsFor(options_);
   if (req->partition.has_value()) {
     // Partition-scoped sub-query: report only embeddings with a matched
     // vertex homed in this part. Pure in (num_parts, seed), so the
@@ -937,38 +701,11 @@ std::string QueryService::RunRequest(const std::shared_ptr<Request>& req) {
 
   StatusOr<EngineStats> result = [&] {
     if (!req->stream_embeddings) return session.Run(req->query);
-    // Batch streamed embeddings; the visitor runs concurrently on worker
-    // tasks, so the buffer is mutex-guarded.
-    struct Batcher {
-      std::mutex mu;
-      EmbeddingBatch batch;
-      std::uint64_t streamed = 0;
-      std::uint32_t cap = 0;
-      Connection* conn = nullptr;
-      void Flush() {
-        if (batch.vertices.empty()) return;
-        Metrics().embeddings_streamed->Increment(batch.vertices.size() /
-                                                 batch.arity);
-        conn->Send(FrameType::kEmbeddings, EncodeEmbeddings(batch));
-        batch.vertices.clear();
-      }
-    } batcher;
-    batcher.batch.request_id = req->id;
-    batcher.batch.arity = req->query.NumVertices();
-    batcher.cap = req->max_embeddings;
-    batcher.conn = req->conn.get();
-    auto run = session.Run(req->query, [&](std::span<const VertexId> m) {
-      std::lock_guard<std::mutex> lock(batcher.mu);
-      if (batcher.cap != 0 && batcher.streamed >= batcher.cap) return;
-      ++batcher.streamed;
-      batcher.batch.vertices.insert(batcher.batch.vertices.end(), m.begin(),
-                                    m.end());
-      if (batcher.batch.vertices.size() >=
-          kEmbeddingBatchSize * batcher.batch.arity) {
-        batcher.Flush();
-      }
-    });
-    std::lock_guard<std::mutex> lock(batcher.mu);
+    EmbeddingBatcher batcher(req->conn.get(), req->id,
+                             req->query.NumVertices(), req->max_embeddings,
+                             shell_.metrics().embeddings_streamed);
+    auto run = session.Run(
+        req->query, [&](std::span<const VertexId> m) { batcher.Add(m); });
     batcher.Flush();
     return run;
   }();
@@ -997,14 +734,14 @@ std::string QueryService::RunRequest(const std::shared_ptr<Request>& req) {
     out.code = WireCodeFor(result.status());
     out.message = result.status().ToString();
   }
-  CountResult(out.code);
-  Metrics().request_latency_us->Record(out.elapsed_us);
+  shell_.CountResult(out.code);
+  shell_.metrics().request_latency_us->Record(out.elapsed_us);
   return EncodeResult(out);
 }
 
 void QueryService::FinishWithoutRun(const std::shared_ptr<Request>& req,
                                     WireCode code, std::string message) {
-  CountResult(code);
+  shell_.CountResult(code);
   ResultFrame out;
   out.request_id = req->id;
   out.code = code;
@@ -1013,37 +750,12 @@ void QueryService::FinishWithoutRun(const std::shared_ptr<Request>& req,
   req->conn->Send(FrameType::kResult, EncodeResult(out));
 }
 
-void QueryService::CountResult(WireCode code) {
-  switch (code) {
-    case WireCode::kOk:
-      ledger_.completed.fetch_add(1, std::memory_order_relaxed);
-      Metrics().completed->Increment();
-      break;
-    case WireCode::kDeadlineExceeded:
-      ledger_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
-      Metrics().deadline_expired->Increment();
-      break;
-    case WireCode::kCancelled:
-    case WireCode::kShuttingDown:
-      ledger_.cancelled.fetch_add(1, std::memory_order_relaxed);
-      Metrics().cancelled->Increment();
-      break;
-    default:
-      ledger_.failed.fetch_add(1, std::memory_order_relaxed);
-      Metrics().failed->Increment();
-      break;
-  }
-}
-
-void QueryService::WatchdogLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    watchdog_cv_.wait_for(lock, std::chrono::milliseconds(2),
-                          [this] { return stopping_.load(); });
-    if (stopping_.load()) return;
+void QueryService::ExpireDeadlines() {
+  std::vector<std::shared_ptr<Request>> expired;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
     const Clock::time_point now = Clock::now();
     // Expired in the queue: remove and answer without running.
-    std::vector<std::shared_ptr<Request>> expired;
     for (auto it = queue_.begin(); it != queue_.end();) {
       if ((*it)->has_deadline && now >= (*it)->deadline) {
         (*it)->cancel_reason.store(kReasonDeadline, std::memory_order_relaxed);
@@ -1067,23 +779,13 @@ void QueryService::WatchdogLoop() {
         }
       }
     }
-    if (expired.empty()) continue;
-    lock.unlock();
-    for (const auto& req : expired) {
-      FinishWithoutRun(req, WireCode::kDeadlineExceeded,
-                       "deadline expired while queued");
-    }
-    idle_cv_.notify_all();
-    lock.lock();
   }
-}
-
-void QueryService::BeginDrain() {
-  bool expected = false;
-  if (!draining_.compare_exchange_strong(expected, true)) return;
-  Metrics().drains->Increment();
-  // Unblocks accept(); the fd is closed in Stop after the acceptor joins.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (expired.empty()) return;
+  for (const auto& req : expired) {
+    FinishWithoutRun(req, WireCode::kDeadlineExceeded,
+                     "deadline expired while queued");
+  }
+  idle_cv_.notify_all();
 }
 
 void QueryService::DrainInFlight() {
@@ -1123,84 +825,15 @@ void QueryService::DrainInFlight() {
                     [this] { return queue_.empty() && active_.empty(); });
 }
 
-void QueryService::FlushMetricsOnce() {
-  bool expected = false;
-  if (!metrics_flushed_.compare_exchange_strong(expected, true)) return;
-  std::string path = options_.metrics_path;
-  if (path.empty()) {
-    const char* env = std::getenv("DUALSIM_METRICS_OUT");
-    if (env != nullptr) path = env;
-  }
-  if (!path.empty()) obs::WriteMetricsJsonFile(path);
-}
-
-bool QueryService::WaitForShutdown(std::uint32_t timeout_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
-  return shutdown_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                               [this] { return shutdown_requested_; });
-}
-
-void QueryService::Stop() {
-  if (!started_.load()) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
-  BeginDrain();
-  DrainInFlight();
-  stopping_.store(true);
-  work_cv_.notify_all();
-  watchdog_cv_.notify_all();
-  if (acceptor_.joinable()) acceptor_.join();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  if (watchdog_.joinable()) watchdog_.join();
-  // Unblock and join the connection readers. The acceptor is gone, so
-  // conn_threads_ is no longer mutated.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& conn : connections_) conn->ShutdownSocket();
-  }
-  for (std::thread& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  FlushMetricsOnce();
-}
-
-StatusInfo QueryService::Snapshot() const {
-  StatusInfo info;
-  info.received = ledger_.received.load(std::memory_order_relaxed);
-  info.admitted = ledger_.admitted.load(std::memory_order_relaxed);
-  info.rejected_overload =
-      ledger_.rejected_overload.load(std::memory_order_relaxed);
-  info.rejected_draining =
-      ledger_.rejected_draining.load(std::memory_order_relaxed);
-  info.rejected_invalid =
-      ledger_.rejected_invalid.load(std::memory_order_relaxed);
-  info.completed = ledger_.completed.load(std::memory_order_relaxed);
-  info.failed = ledger_.failed.load(std::memory_order_relaxed);
-  info.cancelled = ledger_.cancelled.load(std::memory_order_relaxed);
-  info.deadline_expired =
-      ledger_.deadline_expired.load(std::memory_order_relaxed);
-  info.updates_received =
-      ledger_.updates_received.load(std::memory_order_relaxed);
-  info.delta_frames_sent =
-      ledger_.delta_frames_sent.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    info.queue_depth = static_cast<std::uint32_t>(queue_.size());
-    info.active_requests = static_cast<std::uint32_t>(active_.size());
-    info.subscriptions_active =
-        static_cast<std::uint32_t>(subscriptions_.size());
-  }
-  info.draining = draining_.load(std::memory_order_relaxed);
-  return info;
+void QueryService::FillStatus(StatusInfo* info) const {
+  info->updates_received = updates_received_.load(std::memory_order_relaxed);
+  info->delta_frames_sent =
+      delta_frames_sent_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  info->queue_depth = static_cast<std::uint32_t>(queue_.size());
+  info->active_requests = static_cast<std::uint32_t>(active_.size());
+  info->subscriptions_active =
+      static_cast<std::uint32_t>(subscriptions_.size());
 }
 
 }  // namespace dualsim::service

@@ -20,7 +20,7 @@
 /// one-shot queries of workers or frames.
 ///
 /// The same service doubles as a distributed *worker* (DESIGN.md §13): it
-/// answers WORKER_HELLO with the served graph's shape, and a v3
+/// answers WORKER_HELLO with the served graph's shape, and a
 /// partition-scoped SUBMIT runs with an embedding filter so only
 /// embeddings touching the scope's partition are counted and streamed.
 
@@ -38,6 +38,7 @@
 #include "core/plan.h"
 #include "incr/delta_match_pass.h"
 #include "runtime/runtime.h"
+#include "service/front_end.h"
 #include "service/protocol.h"
 #include "storage/disk_graph.h"
 #include "util/status.h"
@@ -109,7 +110,10 @@ struct ServiceOptions {
 /// One serving endpoint. Lifecycle: construct -> Start() -> (serve) ->
 /// Stop(), where Stop is triggered either directly (signal handler path)
 /// or by a client SHUTDOWN frame — use WaitForShutdown() to observe the
-/// latter. All entry points are thread-safe; Stop() is idempotent.
+/// latter. All entry points are thread-safe; Stop() is idempotent. The
+/// socket, frame loop, ledger and drain sequence live in the shared
+/// FrontEnd shell (service/front_end.h); this class adds the admission
+/// queue, the workers, subscriptions and updates, and WORKER_HELLO.
 class QueryService {
  public:
   explicit QueryService(Runtime* runtime, ServiceOptions options = {});
@@ -124,15 +128,17 @@ class QueryService {
   Status Start();
 
   /// Bound TCP port (the ephemeral choice when options.port == 0).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return shell_.port(); }
 
   /// True once a drain has begun (SHUTDOWN frame or Stop()).
-  bool draining() const { return draining_.load(std::memory_order_relaxed); }
+  bool draining() const { return shell_.draining(); }
 
   /// Blocks up to `timeout_ms` for a client-initiated SHUTDOWN drain to
   /// complete; returns true when one has. The caller still runs Stop()
   /// for the final teardown (joins, socket close).
-  bool WaitForShutdown(std::uint32_t timeout_ms);
+  bool WaitForShutdown(std::uint32_t timeout_ms) {
+    return shell_.WaitForShutdown(timeout_ms);
+  }
 
   /// Graceful drain + teardown: stop accepting, finish or cancel
   /// in-flight sessions (drain_timeout_ms grace), flush metrics, join
@@ -140,29 +146,27 @@ class QueryService {
   void Stop();
 
   /// Point-in-time admission ledger (the STATUS response).
-  StatusInfo Snapshot() const;
+  StatusInfo Snapshot() const { return shell_.Snapshot(); }
 
  private:
-  struct Connection;
   struct Request;
   struct Subscription;
 
-  void AcceptorLoop();
-  void ConnectionLoop(std::shared_ptr<Connection> conn);
+  bool HandleFrame(const std::shared_ptr<Connection>& conn,
+                   const Frame& frame);
   void WorkerLoop();
-  void WatchdogLoop();
+  /// Watchdog tick: expires queued requests, cancels running ones.
+  void ExpireDeadlines();
+  void FillStatus(StatusInfo* info) const;
 
   void HandleSubmit(const std::shared_ptr<Connection>& conn,
                     std::string_view payload);
   void HandleCancel(const std::shared_ptr<Connection>& conn,
                     std::string_view payload);
-  void HandleShutdown(const std::shared_ptr<Connection>& conn);
-  void HandleWorkerHello(const std::shared_ptr<Connection>& conn,
-                         std::string_view payload);
+  void HandleWorkerHello(Connection& conn, std::string_view payload);
   void HandleSubscribe(const std::shared_ptr<Connection>& conn,
                        std::string_view payload);
-  void HandleUpdate(const std::shared_ptr<Connection>& conn,
-                    std::string_view payload);
+  void HandleUpdate(Connection& conn, std::string_view payload);
   void HandleUnsubscribe(const std::shared_ptr<Connection>& conn,
                          std::string_view payload);
 
@@ -185,6 +189,9 @@ class QueryService {
   std::uint64_t SendDeltaChain(const Subscription& sub, std::uint64_t sequence,
                                const incr::EmbeddingDiff& diff);
 
+  /// Sends a failed subscription's terminal RESULT and counts it.
+  void FailSubscription(const Subscription& sub, const Status& status);
+
   /// Runs one admitted request's session, counts the outcome, and returns
   /// the encoded RESULT payload. The worker sends it only after retiring
   /// the request from active_, so a client that has seen its RESULT never
@@ -196,63 +203,25 @@ class QueryService {
   void FinishWithoutRun(const std::shared_ptr<Request>& req, WireCode code,
                         std::string message);
 
-  /// Counts a terminal outcome into the admission ledger.
-  void CountResult(WireCode code);
-
-  /// Stops accepting and marks the service draining (idempotent).
-  void BeginDrain();
-
   /// Waits for queued+active to drain (grace period), then cancels
   /// stragglers and waits again.
   void DrainInFlight();
 
-  /// Writes the metrics JSON sidecar once (options.metrics_path or
-  /// DUALSIM_METRICS_OUT).
-  void FlushMetricsOnce();
-
   Runtime* runtime_;
   ServiceOptions options_;
+  FrontEnd shell_;
 
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> started_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> metrics_flushed_{false};
-  bool shutdown_requested_ = false;  // guarded by mu_
-  bool stopped_ = false;             // guarded by mu_
-
-  std::thread acceptor_;
-  std::thread watchdog_;
   std::vector<std::thread> workers_;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;      // workers: queue non-empty / stop
-  std::condition_variable idle_cv_;      // drain: queue empty && no active
-  std::condition_variable shutdown_cv_;  // WaitForShutdown
-  std::condition_variable watchdog_cv_;  // watchdog tick / stop
+  std::condition_variable work_cv_;  // workers: queue non-empty / stop
+  std::condition_variable idle_cv_;  // drain: queue empty && no active
   std::deque<std::shared_ptr<Request>> queue_;
   std::vector<std::shared_ptr<Request>> active_;
   std::vector<std::shared_ptr<Subscription>> subscriptions_;
-  std::vector<std::shared_ptr<Connection>> connections_;
-  std::vector<std::thread> conn_threads_;
 
-  /// Instance-scoped ledger (the obs registry is process-wide; STATUS
-  /// reports this service alone).
-  struct Ledger {
-    std::atomic<std::uint64_t> received{0};
-    std::atomic<std::uint64_t> admitted{0};
-    std::atomic<std::uint64_t> rejected_overload{0};
-    std::atomic<std::uint64_t> rejected_draining{0};
-    std::atomic<std::uint64_t> rejected_invalid{0};
-    std::atomic<std::uint64_t> completed{0};
-    std::atomic<std::uint64_t> failed{0};
-    std::atomic<std::uint64_t> cancelled{0};
-    std::atomic<std::uint64_t> deadline_expired{0};
-    std::atomic<std::uint64_t> updates_received{0};
-    std::atomic<std::uint64_t> delta_frames_sent{0};
-  };
-  Ledger ledger_;
+  std::atomic<std::uint64_t> updates_received_{0};
+  std::atomic<std::uint64_t> delta_frames_sent_{0};
 };
 
 }  // namespace dualsim::service

@@ -7,13 +7,19 @@
 /// then severs the connection after the abort grace. Every scenario here
 /// is wall-clock bounded; a hang is itself the failure.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +32,7 @@
 #include "query/symmetry_breaking.h"
 #include "service/client.h"
 #include "service/protocol.h"
+#include "storage/disk_graph.h"
 #include "testkit/coord_fixture.h"
 #include "testkit/metrics_util.h"
 
@@ -247,6 +254,50 @@ TEST(CoordFailureTest, ClientCancelFansOutToWorkers) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->code, WireCode::kCancelled) << result->message;
   EXPECT_LT(elapsed, std::chrono::seconds(20));
+}
+
+TEST(CoordFailureTest, FailedStartReapsSpawnedWorkers) {
+  // Hold a listening socket on the port the coordinator will ask for, so
+  // Start fails at bind — after it spawned and handshook its workers.
+  const int blocker = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(blocker, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::bind(blocker, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(blocker, 1), 0);
+  socklen_t len = sizeof(addr);
+  ::getsockname(blocker, reinterpret_cast<sockaddr*>(&addr), &len);
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("dualsim_coord_failed_start_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string db = (dir / "g.db").string();
+  ASSERT_TRUE(BuildDiskGraph(FixtureGraph(), db, /*page_size=*/512).ok());
+
+  CoordinatorOptions opt;
+  opt.db_path = db;
+  opt.num_parts = 2;
+  opt.worker_binary = testkit::ServeBinaryPath();
+  opt.port = ntohs(addr.sin_port);
+  Coordinator coordinator(opt);
+  const Status started = coordinator.Start();
+  EXPECT_EQ(started.code(), StatusCode::kIOError) << started.ToString();
+  const std::vector<WorkerEndpoint> workers = coordinator.workers();
+  coordinator.Stop();
+  ::close(blocker);
+
+  ASSERT_EQ(workers.size(), 2u);
+  for (const WorkerEndpoint& w : workers) {
+    ASSERT_GT(w.pid, 0);
+    // Stop reaped the worker, so its pid no longer names a process.
+    EXPECT_NE(::kill(w.pid, 0), 0) << "worker " << w.pid
+                                   << " outlived a failed Start";
+    if (::kill(w.pid, SIGKILL) == 0) ::waitpid(w.pid, nullptr, 0);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

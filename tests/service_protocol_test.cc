@@ -21,7 +21,7 @@ TEST(ServiceProtocolTest, SubmitRoundTrip) {
   in.deadline_ms = 1500;
   in.max_embeddings = 77;
   in.stream_embeddings = true;
-  in.query = "0-1,1-2,2-0";
+  in.query = "0-1,1-2,2-0,0=3,1=3,2=*";  // labeled syntax rides as text
   SubmitRequest out;
   ASSERT_TRUE(DecodeSubmit(EncodeSubmit(in), &out).ok());
   EXPECT_EQ(out.request_id, in.request_id);
@@ -29,44 +29,26 @@ TEST(ServiceProtocolTest, SubmitRoundTrip) {
   EXPECT_EQ(out.max_embeddings, in.max_embeddings);
   EXPECT_EQ(out.stream_embeddings, in.stream_embeddings);
   EXPECT_EQ(out.query, in.query);
-  EXPECT_EQ(out.version, kSubmitVersionLabeled);
+  EXPECT_FALSE(out.partition.has_value());
 }
 
-TEST(ServiceProtocolTest, SubmitVersionCompat) {
-  // A labeled query rides the v2 payload; the trailing version byte
-  // round-trips.
-  SubmitRequest labeled;
-  labeled.request_id = 11;
-  labeled.query = "0-1,1-2,2-0,0=3,1=3,2=*";
-  SubmitRequest out;
-  ASSERT_TRUE(DecodeSubmit(EncodeSubmit(labeled), &out).ok());
-  EXPECT_EQ(out.version, kSubmitVersionLabeled);
-  EXPECT_EQ(out.query, labeled.query);
-
-  // An old client encodes v1 (no trailing byte); the decoder accepts it
-  // and reports the version so the service knows the peer's vintage.
-  SubmitRequest old_client;
-  old_client.request_id = 12;
-  old_client.query = "q1";
-  old_client.version = kSubmitVersionV1;
-  const std::string v1_bytes = EncodeSubmit(old_client);
-  SubmitRequest v1_out;
-  ASSERT_TRUE(DecodeSubmit(v1_bytes, &v1_out).ok());
-  EXPECT_EQ(v1_out.version, kSubmitVersionV1);
-  EXPECT_EQ(v1_out.query, "q1");
-  // And v2 is exactly v1 plus the version byte.
-  SubmitRequest v2 = old_client;
-  v2.version = kSubmitVersionLabeled;
-  const std::string v2_bytes = EncodeSubmit(v2);
-  ASSERT_EQ(v2_bytes.size(), v1_bytes.size() + 1);
-  EXPECT_EQ(v2_bytes.substr(0, v1_bytes.size()), v1_bytes);
-
-  // A bogus trailing version (claiming v1 with the byte present) is
-  // malformed, not silently accepted.
-  std::string bogus = v1_bytes;
-  bogus.push_back(static_cast<char>(kSubmitVersionV1));
-  SubmitRequest bogus_out;
-  EXPECT_FALSE(DecodeSubmit(bogus, &bogus_out).ok());
+TEST(ServiceProtocolTest, SubmitRejectsUnknownFlagBits) {
+  SubmitRequest in;
+  in.request_id = 12;
+  in.query = "q1";
+  const std::string bytes = EncodeSubmit(in);
+  // The flags byte follows request_id (8), deadline (4) and cap (4).
+  constexpr std::size_t kFlagsOffset = 16;
+  ASSERT_EQ(static_cast<std::uint8_t>(bytes[kFlagsOffset]), 0);
+  for (int bit = 0; bit < 8; ++bit) {
+    const auto flag = static_cast<std::uint8_t>(1u << bit);
+    if ((flag & kSubmitFlagsKnown) != 0) continue;
+    std::string mutated = bytes;
+    mutated[kFlagsOffset] = static_cast<char>(flag);
+    SubmitRequest out;
+    const Status s = DecodeSubmit(mutated, &out);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << "bit " << bit;
+  }
 }
 
 TEST(ServiceProtocolTest, RejectResultStatusRoundTrips) {
@@ -108,6 +90,9 @@ TEST(ServiceProtocolTest, RejectResultStatusRoundTrips) {
   info.queue_depth = 3;
   info.active_requests = 2;
   info.draining = true;
+  info.subscriptions_active = 2;
+  info.updates_received = 40;
+  info.delta_frames_sent = 81;
   StatusInfo info_out;
   ASSERT_TRUE(DecodeStatusInfo(EncodeStatusInfo(info), &info_out).ok());
   EXPECT_EQ(info_out.received, 10u);
@@ -120,6 +105,9 @@ TEST(ServiceProtocolTest, RejectResultStatusRoundTrips) {
   EXPECT_EQ(info_out.queue_depth, 3u);
   EXPECT_EQ(info_out.active_requests, 2u);
   EXPECT_TRUE(info_out.draining);
+  EXPECT_EQ(info_out.subscriptions_active, 2u);
+  EXPECT_EQ(info_out.updates_received, 40u);
+  EXPECT_EQ(info_out.delta_frames_sent, 81u);
 }
 
 TEST(ServiceProtocolTest, EmbeddingBatchRoundTrip) {
@@ -135,20 +123,23 @@ TEST(ServiceProtocolTest, EmbeddingBatchRoundTrip) {
 }
 
 TEST(ServiceProtocolTest, TruncatedPayloadsAreRejectedNotRead) {
-  const std::string full = EncodeSubmit({1, 2, 3, true, "q1"});
-  // A v2 payload is the v1 layout plus one trailing version byte, so the
-  // v1-sized prefix MUST decode (that is the compat contract); every other
-  // prefix is a truncation and must be rejected.
-  const std::size_t v1_size = full.size() - 1;
-  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+  // One fixed layout per payload: every strict prefix is a truncation.
+  const std::string submit = EncodeSubmit({1, 2, 3, true, "q1"});
+  for (std::size_t cut = 0; cut < submit.size(); ++cut) {
     SubmitRequest out;
-    const Status s = DecodeSubmit(std::string_view(full).substr(0, cut), &out);
-    if (cut == v1_size) {
-      EXPECT_TRUE(s.ok()) << s.ToString();
-      EXPECT_EQ(out.version, kSubmitVersionV1);
-    } else {
-      EXPECT_FALSE(s.ok()) << "prefix of " << cut << " bytes decoded";
-    }
+    EXPECT_FALSE(
+        DecodeSubmit(std::string_view(submit).substr(0, cut), &out).ok())
+        << "SUBMIT prefix of " << cut << " bytes decoded";
+  }
+  StatusInfo info;
+  info.received = 3;
+  info.subscriptions_active = 2;
+  const std::string status = EncodeStatusInfo(info);
+  for (std::size_t cut = 0; cut < status.size(); ++cut) {
+    StatusInfo out;
+    EXPECT_FALSE(
+        DecodeStatusInfo(std::string_view(status).substr(0, cut), &out).ok())
+        << "STATUS_INFO prefix of " << cut << " bytes decoded";
   }
   ResultFrame result_out;
   EXPECT_FALSE(DecodeResult("garbage", &result_out).ok());
@@ -167,7 +158,6 @@ TEST(ServiceProtocolTest, PartitionScopedSubmitRoundTrip) {
   const std::string bytes = EncodeSubmit(in);
   SubmitRequest out;
   ASSERT_TRUE(DecodeSubmit(bytes, &out).ok());
-  EXPECT_EQ(out.version, kSubmitVersionPartition);
   ASSERT_TRUE(out.partition.has_value());
   EXPECT_EQ(out.partition->num_parts, 3u);
   EXPECT_EQ(out.partition->part_id, 2u);
@@ -175,12 +165,10 @@ TEST(ServiceProtocolTest, PartitionScopedSubmitRoundTrip) {
   EXPECT_EQ(out.query, "q2");
   EXPECT_TRUE(out.stream_embeddings);
 
-  // v3 is exactly the v1 layout plus the 16-byte scope plus the version
-  // byte — the compat discriminator is the remaining-suffix width.
-  SubmitRequest v1 = in;
-  v1.partition.reset();
-  v1.version = kSubmitVersionV1;
-  EXPECT_EQ(bytes.size(), EncodeSubmit(v1).size() + 17);
+  // The scope is the 16 bytes after the query, announced by its flag bit.
+  SubmitRequest unscoped = in;
+  unscoped.partition.reset();
+  EXPECT_EQ(bytes.size(), EncodeSubmit(unscoped).size() + 16);
 
   // An invalid scope must never decode: a worker acting on it would
   // filter against a nonsense partitioning and silently undercount.
@@ -199,27 +187,19 @@ TEST(ServiceProtocolTest, PartitionScopedSubmitTruncationFuzz) {
   SubmitRequest in;
   in.request_id = 7;
   in.query = "0-1,1-2,2-0";
-  // num_parts = 3 on purpose: its low byte alone claims "version 3", which
-  // the one-byte arm rejects (a partition version demands its scope), so
-  // every cut except the exact v1 boundary must fail.
   in.partition = PartitionScope{3, 1, 42};
+  // Every cut fails, the one that drops the whole scope included: the flag
+  // bit demands it, so a scoped SUBMIT never decodes as an unscoped one.
   const std::string full = EncodeSubmit(in);
-  const std::size_t v1_size = full.size() - 17;
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     SubmitRequest out;
-    const Status s = DecodeSubmit(std::string_view(full).substr(0, cut), &out);
-    if (cut == v1_size) {
-      EXPECT_TRUE(s.ok()) << s.ToString();
-      EXPECT_EQ(out.version, kSubmitVersionV1);
-      EXPECT_FALSE(out.partition.has_value());
-    } else {
-      EXPECT_FALSE(s.ok()) << "prefix of " << cut << " bytes decoded";
-    }
+    EXPECT_FALSE(DecodeSubmit(std::string_view(full).substr(0, cut), &out).ok())
+        << "prefix of " << cut << " bytes decoded";
   }
 }
 
 TEST(ServiceProtocolTest, PartitionScopedSubmitCorruptionFuzz) {
-  // Single-byte corruption anywhere in a v3 payload either fails the
+  // Single-byte corruption anywhere in a scoped payload either fails the
   // decode or yields a scope that still satisfies the invariants the
   // workers rely on (num_parts >= 1, part_id < num_parts) — never an
   // out-of-range partition and never a crash.
@@ -256,14 +236,12 @@ TEST(ServiceProtocolTest, WorkerHelloRoundTrip) {
   WorkerHelloAck ack;
   ack.num_vertices = 200;
   ack.num_edges = 1000;
-  ack.supports_partition = true;
   WorkerHelloAck ack_out;
   ASSERT_TRUE(
       DecodeWorkerHelloAck(EncodeWorkerHelloAck(ack), &ack_out).ok());
   EXPECT_EQ(ack_out.version, kWorkerHelloVersion);
   EXPECT_EQ(ack_out.num_vertices, 200u);
   EXPECT_EQ(ack_out.num_edges, 1000u);
-  EXPECT_TRUE(ack_out.supports_partition);
 
   // Truncations of both payloads are rejected at every cut.
   const std::string hello_bytes = EncodeWorkerHello(hello);
@@ -508,39 +486,6 @@ TEST(ServiceProtocolTest, UpdateAckRoundTripAndTruncation) {
     EXPECT_FALSE(
         DecodeUpdateAck(std::string_view(full).substr(0, cut), &ignored).ok())
         << cut;
-  }
-}
-
-TEST(ServiceProtocolTest, StatusInfoContinuousQuerySuffixCompat) {
-  StatusInfo info;
-  info.received = 3;
-  info.subscriptions_active = 2;
-  info.updates_received = 40;
-  info.delta_frames_sent = 81;
-  StatusInfo out;
-  ASSERT_TRUE(DecodeStatusInfo(EncodeStatusInfo(info), &out).ok());
-  EXPECT_EQ(out.subscriptions_active, 2u);
-  EXPECT_EQ(out.updates_received, 40u);
-  EXPECT_EQ(out.delta_frames_sent, 81u);
-
-  // A legacy server's payload stops before the continuous-query suffix
-  // (20 bytes: u32 + u64 + u64); the decoder accepts it and zero-fills.
-  // Every other prefix is a truncation.
-  const std::string full = EncodeStatusInfo(info);
-  const std::size_t legacy_size = full.size() - 20;
-  for (std::size_t cut = 0; cut < full.size(); ++cut) {
-    StatusInfo cut_out;
-    const Status s =
-        DecodeStatusInfo(std::string_view(full).substr(0, cut), &cut_out);
-    if (cut == legacy_size) {
-      EXPECT_TRUE(s.ok()) << s.ToString();
-      EXPECT_EQ(cut_out.received, 3u);
-      EXPECT_EQ(cut_out.subscriptions_active, 0u);
-      EXPECT_EQ(cut_out.updates_received, 0u);
-      EXPECT_EQ(cut_out.delta_frames_sent, 0u);
-    } else {
-      EXPECT_FALSE(s.ok()) << "prefix of " << cut << " bytes decoded";
-    }
   }
 }
 
